@@ -1,13 +1,18 @@
 """Span / token decoding + greedy non-overlap selection.
 
-Transcribes the reference decoder semantics exactly
-(/root/reference/src/decoder.cpp), vectorizing candidate generation with
-NumPy while preserving the reference's *flat-scan* candidate order —
-``np.argwhere`` over a C-contiguous ``[words, width, entities]`` array
-yields row-major order, identical to the reference's linear walk over the
-flat logit vector (decoder.cpp:96-101).  The order matters: the greedy
-pass is sequential and order-sensitive (decoder.cpp:31-61), NOT a
-probability-sorted textbook greedy.
+Transcribes the reference decoder semantics exactly (the reference's
+``src/decoder.cpp``).  The span decoder walks only the
+candidates that can clear the threshold: one scan of the flat float32
+logits against a cutoff strictly below ``logit(threshold)`` (see
+``_logit_cutoff``), then the unchanged float32 test
+``sigmoid(x) >= threshold`` on the survivors.  The cutoff is
+conservative — every logit whose float32 sigmoid clears the threshold
+lies above it — so the re-test yields exactly the dense test's candidate
+set.  ``np.flatnonzero`` returns flat indices in ascending order, which
+is the reference's linear walk over the flat logit vector
+(decoder.cpp:96-101).  The order matters: the greedy pass is sequential
+and order-sensitive (decoder.cpp:31-61), NOT a probability-sorted
+textbook greedy.
 
 Offsets are UTF-8 **byte** offsets; span text is a byte slice of the
 encoded text (C++ ``substr`` on a std::string, decoder.cpp:112).  Word
@@ -17,6 +22,7 @@ valid UTF-8.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +30,7 @@ import numpy as np
 from gliner_cpp_ray.core.processor import EncodedBatch
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """Output entity mention (reference ``gliner::Span``,
     /root/reference/include/GLiNER/gliner_structs.hpp:64-70)."""
@@ -41,45 +47,75 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-# --- overlap predicates (decoder.cpp:11-29) ------------------------------
-
-def _is_nested(s1: Span, s2: Span) -> bool:
-    return (s1.start <= s2.start and s2.end <= s1.end) or (
-        s2.start <= s1.start and s1.end <= s2.end
-    )
-
-
-def _has_overlapping(s1: Span, s2: Span, multi_label: bool) -> bool:
-    if s1.start == s2.start and s1.end == s2.end:
-        return not multi_label
-    if s1.start > s2.end or s2.start > s1.end:
-        return False
-    return True
-
-
-def _has_overlapping_nested(s1: Span, s2: Span, multi_label: bool) -> bool:
-    return _has_overlapping(s1, s2, multi_label) or _is_nested(s1, s2)
+def _greedy_keep(
+    starts: list[int],
+    ends: list[int],
+    probs: list[float],
+    flat_ner: bool,
+    multi_label: bool,
+) -> list[int]:
+    """Indices kept by the sequential left-to-right pass over
+    generation-ordered spans (decoder.cpp:31-61).  On conflict the
+    higher-prob span survives as the running candidate; on no-conflict
+    the running candidate is emitted.  The conflict test is
+    ``hasOverlapping`` (decoder.cpp:16-24), or'd with ``isNested``
+    (decoder.cpp:11-13) when ``flat_ner`` is false."""
+    if not starts:
+        return []
+    keep: list[int] = []
+    prev = 0
+    ps, pe, pp = starts[0], ends[0], probs[0]
+    for nxt in range(1, len(starts)):
+        ns, ne = starts[nxt], ends[nxt]
+        if ps == ns and pe == ne:
+            conflict = not multi_label
+        else:
+            conflict = not (ps > ne or ns > pe)
+        if not conflict and not flat_ner:
+            conflict = (ps <= ns and ne <= pe) or (ns <= ps and pe <= ne)
+        if not conflict:
+            keep.append(prev)
+            prev, ps, pe, pp = nxt, ns, ne, probs[nxt]
+        elif pp < probs[nxt]:
+            prev, ps, pe, pp = nxt, ns, ne, probs[nxt]
+    keep.append(prev)
+    return keep
 
 
 def greedy_search(
     spans: list[Span], flat_ner: bool = True, multi_label: bool = False
 ) -> list[Span]:
-    """Sequential left-to-right pass over generation-ordered spans
-    (decoder.cpp:31-61).  On conflict the higher-prob span survives as the
-    running candidate; on no-conflict the running candidate is emitted."""
-    if not spans:
-        return []
-    has_ov = _has_overlapping if flat_ner else _has_overlapping_nested
-    out: list[Span] = []
-    prev = 0
-    for nxt in range(1, len(spans)):
-        if not has_ov(spans[prev], spans[nxt], multi_label):
-            out.append(spans[prev])
-            prev = nxt
-        elif spans[prev].prob < spans[nxt].prob:
-            prev = nxt
-    out.append(spans[prev])
-    return out
+    """``_greedy_keep`` over ``Span`` objects."""
+    keep = _greedy_keep(
+        [s.start for s in spans],
+        [s.end for s in spans],
+        [s.prob for s in spans],
+        flat_ner,
+        multi_label,
+    )
+    return [spans[k] for k in keep]
+
+
+def _logit_cutoff(threshold: float) -> np.float32:
+    """A float32 cutoff ``c`` with ``x >= c`` for every float32 ``x``
+    whose float32 ``sigmoid(x) >= threshold``.
+
+    The float32 sigmoid is within a few ulps (relative error < 1e-6) of
+    the true one, and the threshold may be rounded to float32 (another
+    2**-24).  Lowering the threshold by a relative 2**-12 before taking
+    the logit therefore covers every rounding, with room to spare for
+    rounding the cutoff itself to float32.  Above ``1 - 2**-12`` the
+    threshold is capped (float32 sigmoid saturates to 1.0 near
+    x = 16.6, so ``threshold >= 1`` still has survivors); below 1e-30
+    (including ``threshold <= 0``, where every non-NaN cell survives,
+    -inf included) the cutoff is -inf.
+    """
+    if not threshold >= 1e-30:
+        return np.float32(-np.inf)
+    p = min(float(threshold), 1.0 - 2.0**-12) * (1.0 - 2.0**-12)
+    cut = math.log(p / (1.0 - p))
+    c32 = np.float32(cut)
+    return np.nextafter(c32, np.float32(-np.inf)) if c32 > cut else c32
 
 
 def decode_span_batch(
@@ -95,9 +131,9 @@ def decode_span_batch(
 
     Flat logits have implicit row-major layout
     ``[batch, start_word, width, entity]``; a candidate survives iff
-    ``sigmoid(logit) >= threshold`` and both its start and end word index
-    are within the document's real token count (padding rows are thereby
-    dropped, decoder.cpp:104-107).
+    ``sigmoid(logit) >= threshold`` and its end word index
+    ``start + width`` is within the document's real token count (padding
+    rows are thereby dropped, decoder.cpp:104-107).
     """
     B = batch.batch_size
     W = batch.num_words
@@ -105,37 +141,47 @@ def decode_span_batch(
     E = len(entities)
     if B == 0 or W == 0 or E == 0:
         return [[] for _ in range(B)]
-    probs = sigmoid(np.asarray(logits, dtype=np.float32).reshape(B, W, K, E))
+    flat = np.asarray(logits, dtype=np.float32).reshape(B * W * K * E)
+    idx = np.flatnonzero(flat >= _logit_cutoff(threshold))
+    probs = sigmoid(flat[idx])
     over = probs >= threshold
+    idx, probs = idx[over], probs[over]
 
-    ends_grid = np.arange(W, dtype=np.int64)[:, None] + np.arange(K, dtype=np.int64)[None, :]
+    rest, e = np.divmod(idx, E)
+    rest, w = np.divmod(rest, K)
+    b, s = np.divmod(rest, W)
+    ntoks = np.fromiter((len(t) for t in batch.token_texts), np.int64, count=B)
+    valid = s + w < ntoks[b]  # end < ntok => start < ntok (width >= 0)
+    b, s, w, e, probs = b[valid], s[valid], w[valid], e[valid], probs[valid]
 
-    # ONE batch-level argwhere: rows come out sorted by (b, s, w, e)
-    # row-major, so each doc's slice preserves the reference flat-scan
-    # candidate order; end < ntok ⇒ start < ntok (width ≥ 0)
-    ntoks = np.fromiter(
-        (len(t) for t in batch.token_texts), np.int64, count=B
-    )
-    valid3 = ends_grid[None, :, :] < ntoks[:, None, None]
-    cand_all = np.argwhere(over & valid3[:, :, :, None])
-    bounds = np.searchsorted(cand_all[:, 0], np.arange(B + 1))
+    # byte offsets through the batch's concatenated token arrays
+    tok_base = np.zeros(B, np.int64)
+    np.cumsum(ntoks[:-1], out=tok_base[1:])
+    first = tok_base[b] + s
+    starts = np.concatenate(batch.token_starts)[first].tolist()
+    ends = np.concatenate(batch.token_ends)[first + w].tolist()
+    labels = e.tolist()
+    plist = probs.tolist()
+    bounds = np.searchsorted(b, np.arange(B + 1)).tolist()
 
     results: list[list[Span]] = []
-    for b in range(B):
-        cand = cand_all[bounds[b]: bounds[b + 1], 1:]
+    for d in range(B):
+        lo, hi = bounds[d], bounds[d + 1]
+        if lo == hi:
+            results.append([])
+            continue
+        keep = _greedy_keep(
+            starts[lo:hi], ends[lo:hi], plist[lo:hi], flat_ner, multi_label
+        )
+        tb = texts[d].encode("utf-8")
         spans: list[Span] = []
-        if cand.size:
-            tstarts = batch.token_starts[b]
-            tends = batch.token_ends[b]
-            tb = texts[b].encode("utf-8")
-            pb = probs[b]
-            for s, w, e in cand:
-                si = int(tstarts[s])
-                ei = int(tends[s + w])
-                spans.append(
-                    Span(si, ei, tb[si:ei].decode("utf-8"), entities[e], float(pb[s, w, e]))
-                )
-        results.append(greedy_search(spans, flat_ner, multi_label))
+        for k in keep:
+            k += lo
+            si, ei = starts[k], ends[k]
+            spans.append(
+                Span(si, ei, tb[si:ei].decode("utf-8"), entities[labels[k]], plist[k])
+            )
+        results.append(spans)
     return results
 
 

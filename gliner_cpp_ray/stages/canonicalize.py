@@ -236,22 +236,6 @@ def rewrite_triples_to_canon(batch: pa.Table, canon_map: dict) -> pa.Table:
     )
 
 
-def reduce_edge_group(g: pd.DataFrame) -> pd.DataFrame:
-    """Merge per-batch edge partials for one (subj, pred, obj) key.
-    (Reference semantics for the bucketed reducer below; kept for unit
-    tests and as documentation of the per-key contract.)"""
-    prov = sorted({d for lst in g["prov"] for d in lst})[:_PROVENANCE_CAP]
-    return pd.DataFrame(
-        {
-            "subj_canon": [g["subj_canon"].iloc[0]],
-            "pred": [g["pred"].iloc[0]],
-            "obj_canon": [g["obj_canon"].iloc[0]],
-            "weight": np.array([int(g["count"].sum())], dtype=np.int64),
-            "provenance": [prov],
-        }
-    )
-
-
 def add_key_bucket(df: pd.DataFrame, key_cols: list[str], n_buckets: int) -> pd.DataFrame:
     """Deterministic hash bucket over string key columns (vectorized
     ``pd.util.hash_pandas_object`` — fixed internal hash key, so stable

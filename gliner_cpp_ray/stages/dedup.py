@@ -120,10 +120,6 @@ def add_content_hash(batch: pa.Table, text_col: str = "text") -> pa.Table:
     return batch.append_column("content_hash", pa.array(md5s, pa.string()))
 
 
-def keep_first_in_group(g: pd.DataFrame, order_col: str = "doc_id") -> pd.DataFrame:
-    return g.nsmallest(1, order_col)
-
-
 def _batch_min_by_hash(batch: pa.Table, id_col: str) -> pa.Table:
     """Per-batch combiner: min id per content hash within the batch."""
     df = pd.DataFrame(

@@ -14,15 +14,21 @@ in ``__init__`` and reused per batch, mirroring the reference's
 ``Model`` object lifetime (/root/reference/src/model.cpp:7-34).
 
 Scale behaviour:
-* docs inside each Arrow batch are sorted by byte length and grouped
-  into micro-batches capped by estimated word count, so one huge page
+* docs inside each Arrow batch are sorted by length in characters
+  (``len(str)``) and grouped into micro-batches capped by estimated
+  word count, so one huge page
   doesn't inflate padding for the whole model batch (the reference pads
   every batch to its longest text, src/processor.cpp:60,80 — a cost we
   control without changing per-doc results: batch membership does not
   affect GLiNER decoding, only padding);
 * output rows carry ``gap_next`` / ``next_*`` columns — the byte gap to
   the next mention in the same doc — so downstream relation extraction
-  is a stateless per-row map with NO doc-text join (SURVEY.md B6).
+  is a stateless per-row map with NO doc-text join (SURVEY.md B6);
+* the mention table is assembled as columns: one stable sort of all the
+  batch's spans by (doc, start, end), one byte gather for the gaps and a
+  within-doc shift for ``next_*``.  ``pyarrow.compute`` (imported by
+  ``Array.take`` on first use) and ``pandas`` stay off this module's
+  import path, which keeps actor start-up cheap.
 """
 
 from __future__ import annotations
@@ -136,8 +142,6 @@ class GlinerNERStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts: list[str] = batch.column("text").to_pylist()
-        doc_ids: list[str] = batch.column("doc_id").to_pylist()
-        urls: list[str] = batch.column("url").to_pylist()
 
         lengths = np.array([len(t) for t in texts], dtype=np.int64)
         order = np.argsort(-lengths, kind="stable")  # longest first
@@ -150,36 +154,70 @@ class GlinerNERStage:
             for j, spans in zip(group, decoded):
                 spans_by_doc[j] = spans
 
-        cols: dict[str, list] = {name: [] for name in MENTIONS_SCHEMA.names}
-        for j, spans in enumerate(spans_by_doc):
-            if not spans:
-                continue
-            spans = sorted(spans, key=lambda s: (s.start, s.end))
-            tb = texts[j].encode("utf-8")
-            did, u = doc_ids[j], urls[j]
-            for k, s in enumerate(spans):
-                cols["doc_id"].append(did)
-                cols["url"].append(u)
-                cols["start"].append(s.start)
-                cols["end"].append(s.end)
-                cols["text"].append(s.text)
-                cols["label"].append(s.label)
-                cols["prob"].append(s.prob)
-                if k + 1 < len(spans):
-                    nxt = spans[k + 1]
-                    gap_len = nxt.start - s.end
-                    gap = (
-                        tb[s.end : nxt.start].decode("utf-8")
-                        if 0 <= gap_len <= _GAP_CAP_BYTES
-                        else ""
-                    )
-                    cols["gap_next"].append(gap)
-                    cols["next_text"].append(nxt.text)
-                    cols["next_label"].append(nxt.label)
-                    cols["next_prob"].append(nxt.prob)
-                else:
-                    cols["gap_next"].append("")
-                    cols["next_text"].append("")
-                    cols["next_label"].append("")
-                    cols["next_prob"].append(0.0)
-        return pa.table(cols, schema=MENTIONS_SCHEMA)
+        return _mention_table(batch, texts, spans_by_doc)
+
+
+def _string_column(batch: pa.Table, name: str, rows: np.ndarray):
+    col = batch.column(name)
+    if col.type != pa.string():
+        col = col.cast(pa.string())
+    return col.take(rows)
+
+
+def _mention_table(batch: pa.Table, texts: list[str], spans_by_doc: list[list]) -> pa.Table:
+    """One row per span, ordered by (doc, start, end), each carrying the
+    gap to and the text/label/prob of the next mention in its doc (empty
+    strings and 0.0 on a doc's last mention).  The gap is the UTF-8 text
+    between the two mentions, or "" unless 0 <= bytes <= _GAP_CAP_BYTES."""
+    flat = [s for spans in spans_by_doc for s in spans]
+    n = len(flat)
+    counts = np.fromiter(map(len, spans_by_doc), np.int64, count=len(spans_by_doc))
+    doc = np.repeat(np.arange(len(spans_by_doc), dtype=np.int64), counts)
+    start = np.array([s.start for s in flat], dtype=np.int64)
+    end = np.array([s.end for s in flat], dtype=np.int64)
+    # stable, like the per-doc sorted(): token-level multi_label output
+    # is not in (start, end) order, and identical spans keep decode order
+    order = np.lexsort((end, start, doc))
+    doc, start, end = doc[order], start[order], end[order]
+    flat = [flat[i] for i in order.tolist()]
+
+    # row i's next mention is row i + 1 within its doc, else sentinel row n
+    last = np.ones(n, dtype=bool)
+    last[:-1] = doc[1:] != doc[:-1]
+    nxt = np.arange(1, n + 1, dtype=np.int64)
+    nxt[last] = n
+    text = pa.array([s.text for s in flat] + [""], pa.string())
+    label = pa.array([s.label for s in flat] + [""], pa.string())
+    prob = np.array([s.prob for s in flat] + [0.0], dtype=np.float32)
+
+    # gap_next: one gather over the batch's concatenated UTF-8 text
+    encoded = [t.encode("utf-8") for t in texts]
+    doc_base = np.zeros(len(encoded), dtype=np.int64)
+    np.cumsum([len(b) for b in encoded[:-1]], out=doc_base[1:])
+    gap = np.append(start, 0)[nxt] - end
+    gap[last | (gap < 0) | (gap > _GAP_CAP_BYTES)] = 0
+    offsets = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(gap, out=offsets[1:])
+    src = np.repeat(doc_base[doc] + end - offsets[:-1], gap)
+    src += np.arange(len(src), dtype=np.int64)
+    utf8 = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    gap_next = pa.StringArray.from_buffers(
+        n, pa.py_buffer(offsets), pa.py_buffer(utf8[src])
+    )
+
+    return pa.Table.from_arrays(
+        [
+            _string_column(batch, "doc_id", doc),
+            _string_column(batch, "url", doc),
+            pa.array(start),
+            pa.array(end),
+            text.slice(0, n),
+            label.slice(0, n),
+            pa.array(prob[:n]),
+            gap_next,
+            text.take(nxt),
+            label.take(nxt),
+            pa.array(prob[nxt]),
+        ],
+        schema=MENTIONS_SCHEMA,
+    )

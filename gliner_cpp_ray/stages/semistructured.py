@@ -21,12 +21,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def int_field_pattern(field: str) -> str:
-    """RE2 pattern for a flat integer JSON field, shared verbatim with
-    the SQL oracle (named group for pyarrow; DuckDB uses group 1)."""
-    return f'"{field}"\\s*:\\s*(-?[0-9]+)'
-
-
 def extract_int_field(batch: pa.Table, field: str = "k",
                       props_col: str = "props") -> pa.Table:
     """Add ``<field>`` (int64, null when absent) extracted from the

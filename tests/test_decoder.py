@@ -282,3 +282,74 @@ def test_token_long_same_label_run_not_quadratic():
     assert len(out[0]) == 5000
     assert all(s.end - s.start == 2 for s in out[0])
     assert dt < 10.0, f"token decode took {dt:.1f}s — quadratic materialization?"
+
+
+# ------------------------------------------------- candidate prefilter
+
+_THRESHOLDS = [0.0, 1e-6, 0.3, 0.5, 0.9, 1.0 - 2.0**-24, 1.0]
+
+
+def _near(x: float, ulps: int = 8) -> list[np.float32]:
+    """float32 values within ``ulps`` ulps of ``x``."""
+    out = [np.float32(x)]
+    for direction in (np.float32(np.inf), np.float32(-np.inf)):
+        v = np.float32(x)
+        for _ in range(ulps):
+            v = np.nextafter(v, direction)
+            out.append(v)
+    return out
+
+
+def _boundary_logits() -> np.ndarray:
+    centers = [0.0, 88.72283, -88.72283, -103.27893, 16.635532]
+    for t in _THRESHOLDS:
+        if 0.0 < t < 1.0:
+            centers.append(float(np.log(t / (1.0 - t))))
+    vals = [v for c in centers for v in _near(c)]
+    vals += [np.float32(np.nan), np.float32(np.inf), np.float32(-np.inf)]
+    return np.array(vals, dtype=np.float32)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+@pytest.mark.parametrize("threshold", _THRESHOLDS)
+def test_candidates_equal_dense_float32_test(threshold):
+    """The decoder's candidates are exactly the cells whose float32
+    sigmoid clears the threshold, with the same float32 probabilities,
+    for logits within 8 ulps of every boundary plus NaN and +-inf.  One
+    one-word doc with one entity per logit under multi_label keeps every
+    candidate (identical spans never conflict), so the output is the
+    candidate set itself."""
+    vals = _boundary_logits()
+    ents = [f"e{i}" for i in range(len(vals))]
+    batch = make_batch(["aa"], ents, max_width=1)
+    out = decode_span_batch(
+        batch, ["aa"], ents, vals, flat_ner=True, threshold=threshold,
+        multi_label=True,
+    )
+    dense = sigmoid(vals)
+    want = np.flatnonzero(dense >= threshold)
+    assert [int(s.label[1:]) for s in out[0]] == want.tolist()
+    assert [s.prob for s in out[0]] == dense[want].tolist()
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("threshold", [0.3, 0.5, 0.9])
+def test_randomized_span_parity_near_threshold(seed, threshold):
+    # larger padded batches, logits centred on logit(threshold) so about
+    # half the cells pass; all four flat_ner x multi_label combinations
+    rng = np.random.default_rng(1000 + seed)
+    words = ["aa", "bb", "cc", "dd", "é", "ff"]
+    B = int(rng.integers(2, 7))
+    texts = [" ".join(rng.choice(words, size=rng.integers(0, 14))) for _ in range(B)]
+    ents = ["e1", "e2", "e3", "e4"][: int(rng.integers(1, 5))]
+    K = int(rng.integers(1, 6))
+    batch = make_batch(texts, ents, max_width=K)
+    centre = np.log(threshold / (1.0 - threshold))
+    logits = rng.normal(centre, 1.5, size=(B, batch.num_words, K, len(ents)))
+    logits = logits.astype(np.float32)
+    for flat in (True, False):
+        for ml in (True, False):
+            run_both_span(
+                batch, texts, ents, logits, flat_ner=flat, threshold=threshold,
+                multi_label=ml,
+            )
