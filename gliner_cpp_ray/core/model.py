@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from itertools import compress
 from typing import Iterable, Mapping, Protocol
 
 import numpy as np
@@ -107,11 +108,10 @@ class GazetteerScoringModel:
             logits = np.full((B, W, K, E), self.miss_logit, dtype=np.float32)
             for b in range(B):
                 words = batch.token_texts[b]
-                for i, w in enumerate(words):
-                    hits = index.get(w)
-                    if not hits:
-                        continue
-                    for tup, label, lg in hits:
+                # the membership test runs in C; the loop sees only hits
+                hit = map(index.__contains__, words)
+                for i in compress(range(len(words)), hit):
+                    for tup, label, lg in index[words[i]]:
                         L = len(tup)
                         e = ent_pos.get(label)
                         if e is None or L > K or i + L > len(words):
@@ -123,11 +123,9 @@ class GazetteerScoringModel:
         logits = np.full((3, B, W, E), self.miss_logit, dtype=np.float32)
         for b in range(B):
             words = batch.token_texts[b]
-            for i, w in enumerate(words):
-                hits = index.get(w)
-                if not hits:
-                    continue
-                for tup, label, lg in hits:
+            hit = map(index.__contains__, words)
+            for i in compress(range(len(words)), hit):
+                for tup, label, lg in index[words[i]]:
                     L = len(tup)
                     e = ent_pos.get(label)
                     if e is None or i + L > len(words):

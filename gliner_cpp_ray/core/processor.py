@@ -27,6 +27,7 @@ replacement for the reference's hand-rolled columnar ``SpanBatch``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -73,13 +74,6 @@ class GlinerProcessor:
         self.subword = subword
         self.splitter = WordSplitter()
 
-    # --- A4: word tokenize (processor.cpp:13-26) -------------------------
-    def tokenize_text(self, text: str):
-        return self.splitter(text)
-
-    def batch_tokenize_text(self, texts: list[str]):
-        return [self.splitter(t) for t in texts]
-
     # --- A5-A8: full batch prep (processor.cpp:146-181) ------------------
     def prepare_batch(
         self,
@@ -92,21 +86,43 @@ class GlinerProcessor:
         assembly when the scoring backend doesn't consume it (the
         deterministic stub scorer reads token texts only; the ONNX
         backend requires both).  Token lists, ``num_words`` and decode
-        semantics are identical either way."""
+        semantics are identical either way.
+
+        A4 word tokenize (processor.cpp:13-26) makes ONE splitter call
+        per micro-batch, on the docs joined by single spaces, and cuts
+        the result per doc.  This equals splitting each doc alone: the
+        separator is whitespace and no token spans whitespace, and a
+        hyphen glues two word runs only when both its neighbours are
+        word characters, so the separator can neither merge two docs'
+        tokens nor split one.  Each doc's tokens are those starting in
+        its byte range of the joined text, shifted back by its base."""
         cfg = self.config
         batch_size = len(texts)
 
         token_starts: list[np.ndarray] = []
         token_ends: list[np.ndarray] = []
         token_texts: list[list[str]] = []
-        for t in texts:
-            s, e, w = self.splitter(t)
-            if cfg.truncate_words is not None and len(w) > cfg.truncate_words:
-                # Divergence guard (off by default); reference never truncates.
-                s, e, w = s[: cfg.truncate_words], e[: cfg.truncate_words], w[: cfg.truncate_words]
-            token_starts.append(s)
-            token_ends.append(e)
-            token_texts.append(w)
+        if texts:
+            starts, ends, words = self.splitter(" ".join(texts))
+            # doc i's byte base in the joined text; the last entry lies
+            # past every token, so cuts[-1] == len(words)
+            base = np.fromiter(
+                accumulate((len(t.encode()) + 1 for t in texts), initial=0),
+                np.int64, batch_size + 1,
+            )
+            cuts = np.searchsorted(starts, base)
+            shift = np.repeat(base[:-1], cuts[1:] - cuts[:-1])
+            starts = starts - shift
+            ends = ends - shift
+            limit = cfg.truncate_words
+            cuts = cuts.tolist()
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                if limit is not None and b - a > limit:
+                    # Divergence guard (off by default); reference never truncates.
+                    b = a + limit
+                token_starts.append(starts[a:b])
+                token_ends.append(ends[a:b])
+                token_texts.append(words[a:b])
 
         # Prompt prefix: <<ENT>> e1 <<ENT>> e2 ... <<SEP>>  (processor.cpp:33-40)
         prompt_prefix: list[str] = []

@@ -12,6 +12,14 @@ The third-party ``regex`` module's ``\\w`` matches PCRE2's UCP ``\\w``
 (including combining marks — ``नमस्ते`` stays one token), which the
 stdlib ``re`` does not; verified against the reference goldens in
 ``tests/test_splitter.py``.
+
+The vectorized paths classify each input unit (byte or codepoint) once
+and find token boundaries as runs.  Token texts come from the same
+arrays, with no per-token slice: tokens partition the text's
+non-whitespace units and never contain whitespace, so dropping the
+space units, putting one U+0020 between consecutive tokens and calling
+``str.split(" ")`` once on the decoded result yields exactly the
+``text[s:e]`` of every token.
 """
 
 from __future__ import annotations
@@ -64,9 +72,26 @@ def _split_ascii(text: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
     (property-tested in tests/test_splitter.py).  Byte offsets equal
     codepoint offsets here."""
     b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    s_idx, e_idx = _token_runs(_WORD_LUT[b], _SPACE_LUT[b], b == 45)
-    texts = [text[s:e] for s, e in zip(s_idx.tolist(), e_idx.tolist())]
-    return s_idx, e_idx, texts
+    space = _SPACE_LUT.take(b)
+    s_idx, e_idx = _token_runs(_WORD_LUT.take(b), space, b == 45)
+    return s_idx, e_idx, _token_texts(b, space, s_idx, e_idx, "ascii")
+
+
+def _token_texts(units: np.ndarray, space: np.ndarray, s_idx: np.ndarray,
+                 e_idx: np.ndarray, encoding: str) -> list[str]:
+    """Token texts without a per-token slice.  Tokens partition the
+    non-space ``units``, so laid out in order with one U+0020 after each
+    token but the last, token k ends just before output position
+    ``sum(len(t) + 1 for t in tokens[:k + 1]) - 1``; one decode and one
+    ``split(" ")`` give every token's text."""
+    if not len(s_idx):
+        return []
+    ends = np.cumsum(e_idx - s_idx + 1) - 1
+    out = np.full(ends[-1], 32, dtype=units.dtype)
+    unit = np.ones(len(out), dtype=bool)
+    unit[ends[:-1]] = False
+    out[unit] = units[~space]
+    return out.tobytes().decode(encoding).split(" ")
 
 
 # Full-unicode classification LUTs, allocated lazily (3 × 1.1 MB per
@@ -94,14 +119,16 @@ def _split_unicode(text: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
         seen[:128] = True
         _CP_TABLES = [w, s, seen]
     w, s, seen = _CP_TABLES
-    fresh = np.unique(cps[~seen[cps]])
-    for cp in fresh.tolist():
+    # ASCII is pre-classified; only codepoints >= 128 can be unseen
+    high = cps[cps >= 128]
+    for cp in np.unique(high[~seen.take(high)]).tolist():
         ch = chr(cp)
         w[cp] = _CP_W.match(ch) is not None
         s[cp] = _CP_S.match(ch) is not None
         seen[cp] = True
-    s_idx, e_idx = _token_runs(w[cps], s[cps], cps == 45)
-    texts = [text[s_: e_] for s_, e_ in zip(s_idx.tolist(), e_idx.tolist())]
+    space = s.take(cps)
+    s_idx, e_idx = _token_runs(w.take(cps), space, cps == 45)
+    texts = _token_texts(cps, space, s_idx, e_idx, "utf-32-le")
     cp2b = _codepoint_to_byte_index(text)
     return cp2b[s_idx], cp2b[e_idx], texts
 
@@ -113,10 +140,9 @@ def _codepoint_to_byte_index(text: str) -> np.ndarray:
     two bits ``10``; character start positions are the rest.
     Returns an array of length ``len(text) + 1`` (last entry = total bytes).
     """
-    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    is_start = (raw & 0xC0) != 0x80
-    starts = np.flatnonzero(is_start)
-    return np.append(starts, len(raw)).astype(np.int64)
+    # the NUL sentinel is a start byte at offset len(utf-8 bytes)
+    raw = np.frombuffer(text.encode("utf-8") + b"\0", dtype=np.uint8)
+    return np.flatnonzero((raw & 0xC0) != 0x80).astype(np.int64, copy=False)
 
 
 class WordSplitter:
@@ -125,9 +151,10 @@ class WordSplitter:
     __slots__ = ()
 
     def __call__(self, text: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        # the per-match finditer loop was the NER-stage hot spot (52% of
-        # inference time); both vectorized paths are property-tested
-        # equivalent to the regex reference (_split_regex)
+        # both vectorized paths are property-tested equivalent to the
+        # regex reference (_split_regex); the processor calls this once
+        # per micro-batch on its docs joined by spaces, so the fixed
+        # cost per call is shared by the batch's docs
         if text.isascii():
             return _split_ascii(text)
         return _split_unicode(text)

@@ -24,6 +24,7 @@ than waived as rows-only.
 from __future__ import annotations
 
 import os
+import re
 from typing import Any
 
 import numpy as np
@@ -11506,6 +11507,17 @@ def q_page_boilerplate_lines(sf_dir: str):
     return survivors[["line", "df"]]
 
 
+# RE2's \s, which DuckDB's regexp_replace uses, is ASCII-only; Python's
+# \s would also collapse \x0b and Unicode whitespace such as U+00A0
+_RE2_SPACE_RUN = re.compile(r"[\t\n\f\r ]+")
+
+
+def _collapse_pattern_ws(text: str) -> str:
+    """``trim(regexp_replace(text, '\\s+', ' ', 'g'), ' ')`` as the
+    kg_pred_patterns oracle runs it in DuckDB."""
+    return _RE2_SPACE_RUN.sub(" ", text).strip(" ")
+
+
 def q_kg_pred_patterns(sf_dir: str):
     """Relation textual-pattern mining: for every expected triple, the
     whitespace-normalized text BETWEEN the subject's first page
@@ -11538,8 +11550,6 @@ def q_kg_pred_patterns(sf_dir: str):
     joined = bucketed_hash_join(triples, pages, "url")
 
     def between(t: pa.Table) -> pa.Table:
-        import re as _re
-
         preds, pats = [], []
         subj = t.column("subj").to_pylist()
         obj = t.column("obj").to_pylist()
@@ -11554,9 +11564,7 @@ def q_kg_pred_patterns(sf_dir: str):
             if j < 0:
                 continue
             preds.append(p)
-            pats.append(
-                _re.sub(r"\s+", " ", rest[:j]).strip(" ")
-            )
+            pats.append(_collapse_pattern_ws(rest[:j]))
         return pa.table(
             {
                 "pred": pa.array(preds, pa.string()),

@@ -128,7 +128,7 @@ class GlinerNERStage:
         group: list[int] = []
         words = 0
         for j in map(int, order):
-            est = max(1, int(lengths[j]) // 5)  # ~5 bytes/word heuristic
+            est = max(1, int(lengths[j]) // 5)  # ~5 characters/word heuristic
             if group and (
                 len(group) >= self.docs_per_model_batch
                 or words + est > self.max_words_per_model_batch

@@ -86,3 +86,63 @@ def test_hash_subword_deterministic_and_multitoken():
     assert t.encode("internationalization") == t.encode("internationalization")
     assert len(t.encode("internationalization")) == 5
     assert all(i >= 10 for i in t.encode("ab"))
+
+
+# --- one splitter call per micro-batch ---------------------------------
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gliner_cpp_ray.core.splitter import WordSplitter, _split_regex
+
+_PIECES = st.sampled_from(
+    [
+        "a", "Kyiv", "b_c", "x-y", "a-", "-b", "_", "-", "--", ",", "!",
+        " ", "  ", "\t", "\n", "\x0b", "\x1c", "\u00a0", "\u2028", "\u3000",
+        "\u00e9", "\u0915\u094d", "\u0301", "\U0001f642", "\U0001d518",
+        "\u4f60\u597d",
+    ]
+)
+_DOC = st.one_of(
+    st.sampled_from(["", " ", "\u3000 \u00a0", "a-", "-b", "_"]),
+    st.lists(_PIECES, max_size=12).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_DOC, max_size=10))
+def test_joined_split_equals_per_doc_reference(texts):
+    b = GlinerProcessor(GlinerConfig(), OneIdPerWord()).prepare_batch(
+        texts, ["x"], build_encoding=False, build_span_grid=False
+    )
+    assert len(b.token_texts) == len(texts)
+    for text, s, e, w in zip(texts, b.token_starts, b.token_ends, b.token_texts):
+        rs, re_, rw = _split_regex(text)
+        assert s.tolist() == rs.tolist()
+        assert e.tolist() == re_.tolist()
+        assert w == rw
+    assert b.text_lengths.ravel().tolist() == [len(w) for w in b.token_texts]
+
+
+def test_truncate_words_applies_per_doc():
+    proc = GlinerProcessor(GlinerConfig(truncate_words=2), OneIdPerWord())
+    b = proc.prepare_batch(["a b c", "d", "\u00e9 f g h"], ["x"])
+    assert b.token_texts == [["a", "b"], ["d"], ["\u00e9", "f"]]
+    assert [s.tolist() for s in b.token_starts] == [[0, 2], [0], [0, 3]]
+    assert [e.tolist() for e in b.token_ends] == [[1, 3], [1], [2, 4]]
+
+
+def test_one_splitter_call_per_prepare_batch(monkeypatch, proc):
+    calls = []
+    real = WordSplitter.__call__
+
+    def spy(self, text):
+        calls.append(text)
+        return real(self, text)
+
+    monkeypatch.setattr(WordSplitter, "__call__", spy)
+    proc.prepare_batch(["a b", "", "c-d e", "\u00fc"], ["x"])
+    assert len(calls) == 1
+    calls.clear()
+    proc.prepare_batch([], ["x"])
+    assert calls == []

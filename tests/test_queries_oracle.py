@@ -14,6 +14,7 @@ import pytest
 import __ray_entry__ as entrymod
 from gliner_cpp_ray.pipelines.queries import (
     KG_SEED,
+    _collapse_pattern_ws,
     oracle_sql_for_corpus,
     queries,
 )
@@ -101,3 +102,25 @@ def test_entry_smoke(ray_session):
     df = entrymod.entry()
     assert len(df) > 0
     assert {"subj_canon", "pred", "obj_canon", "weight"} <= set(df.columns)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " is the capital of ",
+        "\tis\n\nthe\r\x0ccapital ",
+        "a\x0bb",                 # vertical tab
+        "a\u00a0b",               # no-break space
+        "is\u2028the",            # line separator
+        "\u3000of\u3000 \u3000",  # ideographic space
+        " \x0b \u00a0 ",
+        "",
+    ],
+)
+def test_kg_pred_patterns_whitespace_matches_duckdb(text):
+    # RE2's \s is ASCII-only: DuckDB collapses [\t\n\f\r ] and keeps
+    # \x0b and non-ASCII whitespace as ordinary characters
+    want = duckdb.execute(
+        "SELECT trim(regexp_replace(?, '\\s+', ' ', 'g'), ' ')", [text]
+    ).fetchone()[0]
+    assert _collapse_pattern_ws(text) == want

@@ -122,6 +122,24 @@ def test_unicode_fast_path_matches_regex(text):
     assert t == rt
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Hello world_this-is a_test!", "a,b;;c  d\t-e-", "x" * 5, "",
+        "你好 (Chinese), नमस्ते!", "e\u0301-é\u3000🙂🙂 a\u00a0b\u2028c",
+    ],
+)
+def test_token_texts_equal_codepoint_slices(text):
+    # token texts are built from one joined decode, not per-token slices
+    split = _split_ascii if text.isascii() else _split_unicode
+    s, e, t = split(text)
+    if not text.isascii():  # byte offsets -> codepoint offsets
+        raw = text.encode("utf-8")
+        s = [len(raw[:x].decode("utf-8")) for x in s.tolist()]
+        e = [len(raw[:x].decode("utf-8")) for x in e.tolist()]
+    assert t == [text[a:b] for a, b in zip(list(s), list(e))]
+
+
 def test_unicode_goldens_still_hold_through_dispatch():
     # the reference goldens (byte offsets) via the public callable
     s, e, t = WordSplitter()("你好 world")
