@@ -2,17 +2,19 @@
 
     pages ──read_parquet(cols pruned, lang pushdown)──▶ docs (html→text)
       ──byte-cap rebatch──▶ NER actor pool ──▶ mentions  [checkpoint, sharded]
-    mentions ──relations──▶ triples ──linker actors──▶ linked  [checkpoint]
-    mentions ──pair collect──groupby distinct──▶ union-find ──▶ canon map
-    linked ──canon rewrite──groupby(s,p,o)──▶ edges ──sort(subj)──▶ parquet
-    mentions ──canonize──groupby(canon_id)──▶ nodes ──▶ parquet
+    mentions ──relations──▶ triples ──linker tasks──▶ linked  [checkpoint]
+    mentions(text, label) ──count──sum exchange──▶ driver: canon map
+      + mention node partials  [canon]
+    linked ──canon rewrite──groupby(bucket)──sort(subj)──▶ edges
+    linked ──endpoint partials──sum exchange──▶ driver: reduce with the
+      mention node partials ──sort(canon_id)──▶ nodes
 
-Each stage streams; nothing materializes the full corpus on the driver
-(the only ``take_all`` is the reduced surface-pair table, bounded by the
-surface vocabulary).  Stage outputs are partitioned Parquet with
-manifests + ``_SUCCESS`` (state/checkpoint.py); the expensive NER stage
-is additionally sharded over input-file groups so a failed run resumes
-mid-stage.  Shuffles: pair-distinct, edge key, node key, subject sort.
+Each stage streams; the driver holds only vocabulary-bounded tables
+(merged surface counts, canon map, node table).  Stage outputs are
+Parquet with manifests + ``_SUCCESS`` (state/checkpoint.py); the NER
+stage is also sharded over input-file groups so a failed run resumes
+mid-stage.  Shuffles after NER: surface sum; edge repartition, bucket
+groupby and subject sort; endpoint sum.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ from dataclasses import dataclass, field
 import pyarrow.dataset as pads
 
 from gliner_cpp_ray.stages.canonicalize import (
+    NODE_PARTIALS_SCHEMA,
+    SURFACE_COUNTS_SCHEMA,
     add_key_bucket,
-    build_canon_map,
-    canonize_mentions,
     canonize_triple_endpoints,
-    collect_surface_pairs,
+    count_surfaces,
     reduce_edge_bucket,
-    reduce_node_bucket,
+    reduce_nodes,
+    resolve_surfaces,
     rewrite_triples_to_canon,
 )
 from gliner_cpp_ray.stages.html_to_text import html_to_docs
@@ -84,28 +87,14 @@ class KGPipelineConfig:
     link_concurrency: tuple[int, int] = (1, 4)
     shards: int = 2  # input-file groups for resumable NER (raise at cluster scale)
     max_block_bytes: int = 4 * 1024 * 1024
-    # partition count for the post-combiner shuffles (edge/node/pair
-    # groupbys).  The combiner inside map_batches already reduced these
-    # streams to (distinct keys x blocks) rows.  None = derive from
-    # INPUT BYTES capped by cluster size (sizing.bytes_scaled_partitions)
-    # so the constant scales with the data instead of binding at 100x,
-    # without over-partitioning toy corpora.
-    reduce_partitions: int | None = None
-    # run independent stage pairs (linked||canon, edges||nodes) as two
-    # concurrently-executing Datasets.  None = auto: only when the
-    # cluster has >= 16 CPUs — on small clusters two competing streaming
-    # executors thrash each other.
-    concurrent_stages: bool | None = None
 
-    def resolved_reduce_partitions(self, input_bytes: int | None = None) -> int:
-        from gliner_cpp_ray.stages.sizing import (
-            bytes_scaled_partitions,
-            default_reduce_partitions,
-        )
+    def resolved_reduce_partitions(self, input_bytes: int) -> int:
+        """Partition count for the post-combiner shuffles, from INPUT
+        BYTES capped by cluster size (sizing.bytes_scaled_partitions):
+        it scales with the data without over-partitioning toy corpora."""
+        from gliner_cpp_ray.stages.sizing import bytes_scaled_partitions
 
-        if input_bytes is not None:
-            return bytes_scaled_partitions(input_bytes, self.reduce_partitions)
-        return default_reduce_partitions(self.reduce_partitions)
+        return bytes_scaled_partitions(input_bytes)
 
     def fingerprint(self) -> dict:
         return {
@@ -325,28 +314,84 @@ def run_kg_delta(delta_pages, out_root: str, cfg: KGPipelineConfig | None = None
     return summary
 
 
+def _sum_exchange(ds, schema, n_parts: int):
+    """Merge per-block count partials with ``groupby(keys).sum("count")``
+    (``keys``: every column of ``schema`` but the last, ``count``) into
+    one Arrow table on the driver, typed by ``schema``.  The callers'
+    keys are vocabulary-bounded, so it is small at any corpus size."""
+    import pyarrow as pa
+
+    summed = ds.groupby(schema.names[:-1], num_partitions=n_parts).sum("count")
+    # iter_batches: ray.get(to_arrow_refs()) took ~0.4 s longer per
+    # exchange (Ray 2.49, 2-CPU local session, 20k-page corpus)
+    parts = [
+        t
+        for t in summed.iter_batches(batch_size=None, batch_format="pyarrow")
+        if t.num_rows
+    ]
+    if not parts:
+        return schema.empty_table()
+    return pa.concat_tables(parts).rename_columns(schema.names).cast(schema)
+
+
+def _canon_from_mentions(mentions, n_parts: int):
+    """Mention ``(text, label)`` rows -> ``(pairs, canon_map, mention
+    node partials)``: block counts, one sum exchange, driver resolve."""
+    surfaces = mentions.map_batches(count_surfaces, batch_format="pyarrow")
+    return resolve_surfaces(_sum_exchange(surfaces, SURFACE_COUNTS_SCHEMA, n_parts))
+
+
+def _nodes_from_linked(linked, canon_map: dict, mention_partials, n_parts: int):
+    """Linked triple endpoints + the mention node partials -> the node
+    table: one sum exchange, then one reduce on the driver."""
+    import pyarrow as pa
+
+    endpoints = linked.map_batches(
+        canonize_triple_endpoints,
+        fn_kwargs={"canon_map": canon_map},
+        batch_format="pyarrow",
+    )
+    return reduce_nodes(
+        pa.concat_tables(
+            [mention_partials, _sum_exchange(endpoints, NODE_PARTIALS_SCHEMA, n_parts)]
+        )
+    )
+
+
+# layout version of the downstream checkpoints, part of their config: a
+# stage written under another layout is recomputed, not reused
+_TAIL_LAYOUT = 2
+
+
 def _run_downstream(out_root: str, cfg: KGPipelineConfig, reduce_parts: int) -> dict:
     """Stages 2-5 (linked, canon, edges, nodes) over whatever mention
     shards exist under ``out_root``.  Checkpoint configs embed the
     mentions lineage: any change to the mention set re-runs them."""
+    import pyarrow.parquet as pq
+    import ray
     import ray.data as rd
 
     summary: dict = {}
-    stage_cfg = {**cfg.fingerprint(), "mentions": _mentions_lineage(out_root)}
+    stage_cfg = {
+        **cfg.fingerprint(),
+        "mentions": _mentions_lineage(out_root),
+        "tail": _TAIL_LAYOUT,
+    }
 
-    concurrent = cfg.concurrent_stages
-    if concurrent is None:
-        import ray
-
-        try:
-            concurrent = int(ray.cluster_resources().get("CPU", 0)) >= 16
-        except Exception:
-            concurrent = False
+    try:
+        _ncpu = int(ray.cluster_resources().get("CPU", 8))
+    except Exception:
+        _ncpu = 8
+    # task granularity for downstream scans: a handful of tasks per CPU
+    # (hundreds of ~100ms tasks pay more dispatch than compute)
+    _scan_blocks = max(8, 4 * _ncpu)
 
     def run_pair(jobs):
-        """jobs: [(summary_key, dir, manifest, producer)] — concurrently
-        when the cluster is large enough, else sequentially."""
-        if concurrent and len(jobs) > 1:
+        """jobs: [(summary_key, dir, manifest, producer)] — as two
+        concurrently-executing Datasets when the cluster has >= 16 CPUs,
+        else sequentially: on small clusters two competing streaming
+        executors thrash each other."""
+        if _ncpu >= 16 and len(jobs) > 1:
             with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
                 futs = [
                     (key, pool.submit(checkpoint.run_stage, d, m, prod))
@@ -358,17 +403,7 @@ def _run_downstream(out_root: str, cfg: KGPipelineConfig, reduce_parts: int) -> 
             for key, d, m, prod in jobs:
                 summary[key] = checkpoint.run_stage(d, m, prod)
 
-    import ray as _ray
-
-    try:
-        _ncpu = int(_ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        _ncpu = 8
-    # task granularity for downstream scans: a handful of tasks per CPU
-    # (hundreds of ~100ms tasks pay more dispatch than compute)
-    _scan_blocks = max(8, 4 * _ncpu)
-
-    def read_stage(name, schema=None, columns=None):
+    def read_stage(name, schema, columns=None):
         path = os.path.join(out_root, name)
         if not any(
             f.endswith(".parquet")
@@ -379,11 +414,8 @@ def _run_downstream(out_root: str, cfg: KGPipelineConfig, reduce_parts: int) -> 
             # schema so downstream transforms still resolve columns
             import pyarrow as pa
 
-            fields = [
-                f for f in (schema or []) if columns is None or f.name in columns
-            ]
-            empty = pa.table({f.name: pa.array([], f.type) for f in fields})
-            return rd.from_arrow(empty)
+            fields = [f for f in schema if columns is None or f.name in columns]
+            return rd.from_arrow(pa.schema(fields).empty_table())
         # prune at the read: checkpoints are re-scanned by several
         # downstream stages, each needing only a few columns
         return rd.read_parquet(
@@ -405,37 +437,22 @@ def _run_downstream(out_root: str, cfg: KGPipelineConfig, reduce_parts: int) -> 
         linked.write_parquet(path, min_rows_per_file=200_000)
         return {"input": "mentions", "dataset_stats": _trim_stats(linked)}
 
-    # --- stage 3: canonicalization map --------------------------------
+    # --- stage 3: canon map + mention node partials --------------------
+    # the only downstream reader of the mention surfaces: one scan, one
+    # sum exchange, then everything else on the vocabulary-sized table
     canon_dir = os.path.join(out_root, "canon")
     canon_pkl = os.path.join(canon_dir, "canon_map.pkl")
+    mention_nodes = os.path.join(canon_dir, "mention_nodes.parquet")
 
     def produce_canon(path):
-        mentions = read_stage("mentions", MENTIONS_SCHEMA, columns=["text", "label"])
-        pairs = mentions.map_batches(collect_surface_pairs, batch_format="pyarrow")
-        distinct = (
-            pairs.repartition(reduce_parts)
-            .groupby(["norm_surface", "label", "qid"])
-            .count()
+        pairs, canon_map, partials = _canon_from_mentions(
+            read_stage("mentions", MENTIONS_SCHEMA, columns=["text", "label"]),
+            reduce_parts,
         )
-        small = distinct.to_pandas()  # bounded by surface vocabulary
-        import pyarrow as pa
-
-        if "norm_surface" not in small.columns:  # empty corpus edge case
-            small = small.reindex(columns=["norm_surface", "label", "qid"])
-        pairs_tbl = pa.table(
-            {
-                "norm_surface": pa.array(small["norm_surface"], pa.string()),
-                "label": pa.array(small["label"], pa.string()),
-                "qid": pa.array(small["qid"], pa.string()),
-            }
-        )
-        canon_map = build_canon_map(pairs_tbl)
-        import pyarrow.parquet as pq
-
-        pq.write_table(pairs_tbl, os.path.join(path, "pairs.parquet"))
+        pq.write_table(partials, mention_nodes)
         with open(canon_pkl, "wb") as f:
             pickle.dump(canon_map, f)
-        return {"n_pairs": len(small), "n_canon": len(set(canon_map["qid"].values()))}
+        return {"n_pairs": pairs.num_rows, "n_canon": len(set(canon_map["qid"].values()))}
 
     # linked and canon both depend only on mentions
     run_pair(
@@ -477,7 +494,8 @@ def _run_downstream(out_root: str, cfg: KGPipelineConfig, reduce_parts: int) -> 
         # first COALESCES the post-combiner partial stream (tiny rows
         # spread over ~4·CPU scan blocks) so the all-to-all shuffles a
         # handful of blocks, not hundreds of slivers — measured 10x on
-        # the stage wall time at 2M pages.
+        # the stage wall time at 2M pages.  Distinct edges are not
+        # vocabulary-bounded, so this reduce stays distributed.
         edges = (
             partial.repartition(reduce_parts)
             .map_batches(
@@ -491,38 +509,18 @@ def _run_downstream(out_root: str, cfg: KGPipelineConfig, reduce_parts: int) -> 
         edges.write_parquet(path)
         return {"input": "linked", "dataset_stats": _trim_stats(edges)}
 
-
-
     # --- stage 5: nodes ----------------------------------------------
     nodes_dir = os.path.join(out_root, "nodes")
 
     def produce_nodes(path):
-        mentions = read_stage("mentions", MENTIONS_SCHEMA, columns=["text", "label"])
-        partial = mentions.map_batches(
-            canonize_mentions,
-            fn_kwargs={"canon_map": canon_map},
-            batch_format="pyarrow",
+        nodes = _nodes_from_linked(
+            read_stage("linked", linked_schema, columns=_ENDPOINT_COLS),
+            canon_map,
+            pq.read_table(mention_nodes),
+            reduce_parts,
         )
-        endpoint_partial = read_stage(
-            "linked", linked_schema, columns=_ENDPOINT_COLS
-        ).map_batches(
-            canonize_triple_endpoints,
-            fn_kwargs={"canon_map": canon_map},
-            batch_format="pyarrow",
-        )
-        nodes = (
-            partial.union(endpoint_partial)
-            .repartition(reduce_parts)
-            .map_batches(
-                lambda df: add_key_bucket(df, ["canon_id"], reduce_parts),
-                batch_format="pandas",
-            )
-            .groupby("__bucket")
-            .map_groups(reduce_node_bucket, batch_format="pandas")
-            .sort("canon_id")
-        )
-        nodes.write_parquet(path)
-        return {"input": "mentions", "dataset_stats": _trim_stats(nodes)}
+        pq.write_table(nodes, os.path.join(path, "nodes.parquet"))
+        return {"input": "linked"}
 
     run_pair(
         [

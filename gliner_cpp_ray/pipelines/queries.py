@@ -9956,6 +9956,39 @@ def q_events_cube(sf_dir: str):
     )
 
 
+def _snapshot_diff_classify(g: pd.DataFrame) -> pa.Table:
+    """One key bucket of ``q_orders_snapshot_diff`` -> (status, kind, n):
+    side 0 is the base, side 1 the snapshot, ``h`` the int64 row digest."""
+    # nullable Int64: the outer merge would otherwise pad unmatched keys
+    # with NaN and round the 60-bit digests to float64
+    g = g.astype({"h": "Int64"})
+    a = g[g["side"] == 0][["key", "status", "h"]]
+    b = g[g["side"] == 1][["key", "status", "h"]]
+    m = a.merge(b, on="key", how="outer", suffixes=("_a", "_b"))
+    kind = np.where(
+        m["h_b"].isna(), "removed",
+        np.where(
+            m["h_a"].isna(), "added",
+            np.where((m["h_a"] != m["h_b"]).fillna(False), "changed", "same"),
+        ),
+    )
+    st = m["status_a"].fillna(m["status_b"])
+    out = (
+        pd.DataFrame({"status": st, "kind": kind})
+        .groupby(["status", "kind"], sort=False)
+        .size()
+        .rename("n")
+        .reset_index()
+    )
+    return pa.table(
+        {
+            "status": pa.array(out["status"], pa.string()),
+            "kind": pa.array(out["kind"], pa.string()),
+            "n": pa.array(out["n"].to_numpy(np.int64)),
+        }
+    )
+
+
 def q_orders_snapshot_diff(sf_dir: str):
     """Keyed row-hash snapshot diff (table reconciliation): classify
     every order key as same / changed / added / removed between the
@@ -10046,38 +10079,11 @@ def q_orders_snapshot_diff(sf_dir: str):
         )
         return add_group_bucket(out, ["key"], nb)
 
-    def classify(g: pd.DataFrame) -> pa.Table:
-        a = g[g["side"] == 0][["key", "status", "h"]]
-        b = g[g["side"] == 1][["key", "status", "h"]]
-        m = a.merge(b, on="key", how="outer", suffixes=("_a", "_b"))
-        kind = np.where(
-            m["h_b"].isna(), "removed",
-            np.where(
-                m["h_a"].isna(), "added",
-                np.where(m["h_a"] != m["h_b"], "changed", "same"),
-            ),
-        )
-        st = m["status_a"].fillna(m["status_b"])
-        out = (
-            pd.DataFrame({"status": st, "kind": kind})
-            .groupby(["status", "kind"], sort=False)
-            .size()
-            .rename("n")
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "status": pa.array(out["status"], pa.string()),
-                "kind": pa.array(out["kind"], pa.string()),
-                "n": pa.array(out["n"].to_numpy(np.int64)),
-            }
-        )
-
     return (
         _read(sf_dir, "orders")
         .map_batches(project, batch_format="pyarrow")
         .groupby("__bucket")
-        .map_groups(classify, batch_format="pandas")
+        .map_groups(_snapshot_diff_classify, batch_format="pandas")
         .groupby(["status", "kind"])
         .aggregate(Sum("n", alias_name="n"))
     )
@@ -10188,9 +10194,10 @@ def q_order_priority_merge_revenue(sf_dir: str):
         batch_format="pyarrow",
     )
 
-    n_rows = pq.ParquetFile(
-        _sf_path(sf_dir, "lineitem")
-    ).metadata.num_rows  # footer-only: saves a full count() pass
+    n_rows = sum(  # footer-only: saves a full count() pass
+        pq.read_metadata(f).num_rows
+        for f in pq.ParquetDataset(_sf_path(sf_dir, "lineitem")).files
+    )
     joined = range_merge_join(left, right, "okey", n_rows=n_rows)
     return (
         joined.groupby("o_orderpriority")

@@ -74,7 +74,7 @@ MENTIONS_EXPECTED_SCHEMA = pa.schema(
 
 # one row per AMBIGUOUS triple-endpoint occurrence: the linker resolves
 # these from sentence context, so the node table additionally registers
-# the true entity (canonicalize.TripleEndpointCanonizer).
+# the true entity (canonicalize.canonize_triple_endpoints).
 ENDPOINTS_EXPECTED_SCHEMA = pa.schema(
     [
         ("doc_id", pa.string()),

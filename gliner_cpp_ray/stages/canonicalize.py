@@ -1,22 +1,21 @@
 """Canonicalization (B9/B10) + graph materialization (B11-B13).
 
-Stages:
-1. ``SurfacePairCollector`` — Ray-side pre-aggregation: per batch,
-   emit the DISTINCT ``(norm_surface, label, qid)`` link pairs (qid
-   empty when the surface is NIL or ambiguous).  A tiny
-   ``groupby``-distinct then reduces them globally; the reduced list is
-   bounded by the surface vocabulary, not the corpus.
-2. ``build_canon_map`` — driver-side union-find over the reduced pairs
-   (gliner_cpp_ray.state.union_find): nodes are surfaces and qids,
-   edges are unambiguous surface→qid links; each component gets a
-   deterministic ``canon_id`` (the alias-dict canonical name of its
-   minimal qid, else the minimal member surface).
-3. ``edges_from_linked`` / ``nodes_from_mentions`` — rewrite to canon
-   ids via the broadcast map, pre-aggregate per batch, then one
-   ``groupby`` each; edges are sorted by subject before the sink (B13).
+1. ``count_surfaces`` — per-block ``(text, label, count)`` combiner; a
+   sum exchange merges the blocks into a vocabulary-bounded table.
+2. ``resolve_surfaces`` — driver-side: links each distinct surface once,
+   derives the distinct ``(norm_surface, label, qid)`` pairs and runs
+   ``build_canon_map``, a union-find (state/union_find.py) over surfaces
+   and qids with a deterministic ``canon_id`` per component; it also
+   emits the mention node partials.
+3. ``rewrite_triples_to_canon`` — per-block edge partials, merged by a
+   bucketed ``reduce_edge_bucket`` and sorted by subject (B13).
+4. ``canonize_triple_endpoints`` — node partials of context-resolved
+   ambiguous endpoints; with the mention partials they reduce once on
+   the driver (``reduce_nodes``), under the same vocabulary bound.
 
-Shuffle keys (SURVEY.md §4): the pair-distinct key, the canon node key,
-the (subj, pred, obj) triple key, and the final subject sort.
+``collect_surface_pairs`` and ``canonize_mentions`` are the per-block
+forms of step 2, kept for the benchmark's in-process replay and the
+tail's test oracle (tests/oracle_kg_tail.py).
 """
 
 from __future__ import annotations
@@ -49,58 +48,70 @@ NODES_SCHEMA = pa.schema(
     ]
 )
 
+# per-block edge partials: one sampled doc id per triple per block
+EDGE_PARTIALS_SCHEMA = pa.schema(
+    [
+        ("subj_canon", pa.string()),
+        ("pred", pa.string()),
+        ("obj_canon", pa.string()),
+        ("count", pa.int64()),
+        ("prov", pa.list_(pa.string())),
+    ]
+)
+
+# one row per distinct mention surface, with its occurrence count
+SURFACE_COUNTS_SCHEMA = pa.schema(
+    [("text", pa.string()), ("label", pa.string()), ("count", pa.int64())]
+)
+
+# node partials: occurrences of ``surface`` (as ``label``) in ``canon_id``
+NODE_PARTIALS_SCHEMA = pa.schema(
+    [
+        ("canon_id", pa.string()),
+        ("surface", pa.string()),
+        ("label", pa.string()),
+        ("count", pa.int64()),
+    ]
+)
+
 _PROVENANCE_CAP = 8
 _ALIAS_CAP = 16
 
 
-class SurfacePairCollector:
-    """mentions batch -> distinct (norm_surface, label, qid) rows
-    (actor form; see ``collect_surface_pairs`` for the task form)."""
-
-    def __init__(self, alias_rows: list[dict] | None = None):
-        self.linker = EntityLinker(alias_rows)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _surface_pairs(batch, self.linker)
-
-
 def collect_surface_pairs(batch: pa.Table) -> pa.Table:
-    """Stateless-task form using the cached default linker."""
-    return _surface_pairs(batch, default_linker())
-
-
-def _surface_pairs(batch: pa.Table, linker: EntityLinker) -> pa.Table:
-        # distinct (surface, label) first — the lookup loop then runs over
-        # the batch-local vocabulary, not over rows
-        uniq = (
-            pd.DataFrame(
-                {
-                    "text": batch.column("text").to_pandas(),
-                    "label": batch.column("label").to_pandas(),
-                }
-            )
-            .drop_duplicates()
-            .itertuples(index=False)
-        )
-        seen: set[tuple[str, str]] = set()
-        out_s, out_l, out_q = [], [], []
-        for surface, label in uniq:
-            norm = world.normalize_surface(surface)
-            key = (norm, label)
-            if key in seen:
-                continue
-            seen.add(key)
-            cands = linker.candidates(surface, label)
-            out_s.append(norm)
-            out_l.append(label)
-            out_q.append(cands[0] if len(cands) == 1 else "")
-        return pa.table(
+    """mentions batch -> distinct (norm_surface, label, qid) rows, using
+    the cached default linker."""
+    linker = default_linker()
+    # distinct (surface, label) first — the lookup loop then runs over
+    # the batch-local vocabulary, not over rows
+    uniq = (
+        pd.DataFrame(
             {
-                "norm_surface": pa.array(out_s, pa.string()),
-                "label": pa.array(out_l, pa.string()),
-                "qid": pa.array(out_q, pa.string()),
+                "text": batch.column("text").to_pandas(),
+                "label": batch.column("label").to_pandas(),
             }
         )
+        .drop_duplicates()
+        .itertuples(index=False)
+    )
+    seen: set[tuple[str, str]] = set()
+    out_s, out_l, out_q = [], [], []
+    for surface, label in uniq:
+        norm = world.normalize_surface(surface)
+        key = (norm, label)
+        if key in seen:
+            continue
+        seen.add(key)
+        out_s.append(norm)
+        out_l.append(label)
+        out_q.append(_qid_of(linker, surface, label))
+    return pa.table(
+        {
+            "norm_surface": pa.array(out_s, pa.string()),
+            "label": pa.array(out_l, pa.string()),
+            "qid": pa.array(out_q, pa.string()),
+        }
+    )
 
 
 def build_canon_map(pairs: pa.Table, alias_rows: list[dict] | None = None) -> dict:
@@ -195,15 +206,7 @@ def rewrite_triples_to_canon(batch: pa.Table, canon_map: dict) -> pa.Table:
     millions of rows per block, pandas string hashing was the hot spot.
     """
     if batch.num_rows == 0:
-        return pa.table(
-            {
-                "subj_canon": pa.array([], pa.string()),
-                "pred": pa.array([], pa.string()),
-                "obj_canon": pa.array([], pa.string()),
-                "count": pa.array([], pa.int64()),
-                "prov": pa.array([], pa.list_(pa.string())),
-            }
-        )
+        return EDGE_PARTIALS_SCHEMA.empty_table()
     canon_vocab: dict[str, int] = {}
     subj_c = _canon_codes(canon_map, batch, "subj", "subj_label", "subj_qid", canon_vocab)
     obj_c = _canon_codes(canon_map, batch, "obj", "obj_label", "obj_qid", canon_vocab)
@@ -216,23 +219,15 @@ def rewrite_triples_to_canon(batch: pa.Table, canon_map: dict) -> pa.Table:
     pred_u = rest % len(pred_d)
     subj_u = rest // len(pred_d)
     docs = batch.column("doc_id").take(pa.array(first_idx)).to_pylist()
-    agg = pd.DataFrame(
+    return pa.table(
         {
             "subj_canon": canon_arr[subj_u],
             "pred": np.array(pred_d, dtype=object)[pred_u],
             "obj_canon": canon_arr[obj_u],
             "count": counts.astype(np.int64),
             "prov": [[d] for d in docs],
-        }
-    )
-    return pa.table(
-        {
-            "subj_canon": pa.array(agg["subj_canon"], pa.string()),
-            "pred": pa.array(agg["pred"], pa.string()),
-            "obj_canon": pa.array(agg["obj_canon"], pa.string()),
-            "count": pa.array(agg["count"].to_numpy(np.int64)),
-            "prov": pa.array(agg["prov"].tolist(), pa.list_(pa.string())),
-        }
+        },
+        schema=EDGE_PARTIALS_SCHEMA,
     )
 
 
@@ -272,83 +267,86 @@ def reduce_edge_bucket(g: pd.DataFrame) -> pd.DataFrame:
     return agg[["subj_canon", "pred", "obj_canon", "weight", "provenance"]]
 
 
-class MentionCanonizer:
-    """mentions batch -> per-batch partial (canon_id, surface, label, count)."""
-
-    def __init__(self, canon_map: dict, alias_rows: list[dict] | None = None):
-        self.canon_map = canon_map
-        self.linker = EntityLinker(alias_rows)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _mention_partials(batch, self.canon_map, self.linker)
-
-
-def canonize_mentions(batch: pa.Table, canon_map: dict) -> pa.Table:
-    """Stateless-task form of MentionCanonizer (default linker)."""
-    return _mention_partials(batch, canon_map, default_linker())
-
-
-def _mention_partials(batch: pa.Table, canon_map: dict, linker: EntityLinker) -> pa.Table:
-    # integer-coded combiner: count per (surface, label) via dictionary
-    # codes + np.unique; canon resolution runs once per distinct surface
+def count_surfaces(batch: pa.Table) -> pa.Table:
+    """mentions batch -> ``(text, label, count)`` per distinct surface:
+    the integer-coded combiner (dictionary codes + np.unique)."""
     if batch.num_rows == 0:
-        return pa.table(
-            {
-                "canon_id": pa.array([], pa.string()),
-                "surface": pa.array([], pa.string()),
-                "label": pa.array([], pa.string()),
-                "count": pa.array([], pa.int64()),
-            }
-        )
+        return SURFACE_COUNTS_SCHEMA.empty_table()
     si, sd = _dict_codes(batch.column("text"))
     li, ld = _dict_codes(batch.column("label"))
-    combined = si * len(ld) + li
-    uniq, counts = np.unique(combined, return_counts=True)
-    surfaces, labels, canons = [], [], []
-    for code in uniq:
-        l = int(code) % len(ld)
-        s = int(code) // len(ld)
-        surface, label = sd[s], ld[l]
-        cands = linker.candidates(surface, label)
-        qid = cands[0] if len(cands) == 1 else ""
-        surfaces.append(surface)
-        labels.append(label)
-        canons.append(canon_of(canon_map, surface, label, qid))
+    uniq, counts = np.unique(si * len(ld) + li, return_counts=True)
     return pa.table(
         {
-            "canon_id": pa.array(canons, pa.string()),
-            "surface": pa.array(surfaces, pa.string()),
-            "label": pa.array(labels, pa.string()),
+            "text": pa.array(sd, pa.string()).take(pa.array(uniq // len(ld))),
+            "label": pa.array(ld, pa.string()).take(pa.array(uniq % len(ld))),
             "count": pa.array(counts.astype(np.int64)),
-        }
+        },
+        schema=SURFACE_COUNTS_SCHEMA,
     )
 
 
-class TripleEndpointCanonizer:
-    """linked triples -> node partials for AMBIGUOUS endpoint surfaces.
+def _qid_of(linker: EntityLinker, surface: str, label: str) -> str:
+    """Context-free link: the sole candidate entity, else "" (NIL or ambiguous)."""
+    cands = linker.candidates(surface, label)
+    return cands[0] if len(cands) == 1 else ""
 
-    Mentions whose surface maps to several candidate entities cannot be
-    attributed by ``MentionCanonizer`` (no context) and fall into a NIL
-    surface cluster.  Triple endpoints, however, were context-resolved by
-    the linker — register their canon entities as nodes so every edge
-    endpoint has a node row (referential integrity), counting the triple
-    occurrences they appear in.
-    """
 
-    def __init__(self, canon_map: dict, alias_rows: list[dict] | None = None):
-        self.canon_map = canon_map
-        self.linker = EntityLinker(alias_rows)
+def _node_partials(surfaces: pa.Table, canon_ids: list[str]) -> pa.Table:
+    return surfaces.rename_columns(NODE_PARTIALS_SCHEMA.names[1:]).add_column(
+        0, "canon_id", pa.array(canon_ids, pa.string())
+    )
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _endpoint_partials(batch, self.canon_map, self.linker)
+
+def canonize_mentions(batch: pa.Table, canon_map: dict) -> pa.Table:
+    """mentions batch -> node partials ``(canon_id, surface, label,
+    count)``; canon resolution runs once per distinct surface."""
+    surfaces = count_surfaces(batch)
+    linker = default_linker()
+    canons = [
+        canon_of(canon_map, t, l, _qid_of(linker, t, l))
+        for t, l in zip(
+            surfaces.column("text").to_pylist(), surfaces.column("label").to_pylist()
+        )
+    ]
+    return _node_partials(surfaces, canons)
+
+
+def resolve_surfaces(surfaces: pa.Table) -> tuple[pa.Table, dict, pa.Table]:
+    """Merged ``(text, label, count)`` surface table -> ``(pairs,
+    canon_map, mention node partials)``, linking each surface once.
+
+    ``pairs`` (distinct ``(norm_surface, label, qid)``, sorted) equals
+    the union of ``collect_surface_pairs`` over any blocking, because
+    candidates depend only on ``(normalize_surface(text), label)``; the
+    partials sum to ``canonize_mentions`` over the same mentions."""
+    linker = default_linker()
+    texts = surfaces.column("text").to_pylist()
+    labels = surfaces.column("label").to_pylist()
+    qids = [_qid_of(linker, t, l) for t, l in zip(texts, labels)]
+    keys = sorted(
+        {(world.normalize_surface(t), l, q) for t, l, q in zip(texts, labels, qids)}
+    )
+    pairs = pa.table(
+        {
+            name: pa.array([k[i] for k in keys], pa.string())
+            for i, name in enumerate(("norm_surface", "label", "qid"))
+        }
+    )
+    canon_map = build_canon_map(pairs)
+    canons = [canon_of(canon_map, t, l, q) for t, l, q in zip(texts, labels, qids)]
+    return pairs, canon_map, _node_partials(surfaces, canons)
 
 
 def canonize_triple_endpoints(batch: pa.Table, canon_map: dict) -> pa.Table:
-    """Stateless-task form of TripleEndpointCanonizer (default linker)."""
-    return _endpoint_partials(batch, canon_map, default_linker())
+    """linked triples -> node partials for AMBIGUOUS endpoint surfaces.
 
-
-def _endpoint_partials(batch: pa.Table, canon_map: dict, linker: EntityLinker) -> pa.Table:
+    Mentions whose surface maps to several candidate entities cannot be
+    attributed by ``canonize_mentions`` (no context) and fall into a NIL
+    surface cluster.  Triple endpoints, however, were context-resolved
+    by the linker — register their canon entities as nodes so every
+    edge endpoint has a node row (referential integrity), counting the
+    triple occurrences they appear in."""
+    linker = default_linker()
     # vectorized combiner: count per distinct (surface, label, qid)
     # endpoint first (pandas), then resolve ambiguity/canon only over the
     # batch-distinct keys — the Python loop never touches raw rows
@@ -383,32 +381,15 @@ def _endpoint_partials(batch: pa.Table, canon_map: dict, linker: EntityLinker) -
     )
 
 
-def reduce_node_group(g: pd.DataFrame) -> pd.DataFrame:
-    """Per canon_id: total mentions, modal label, distinct alias sample.
-    (Per-key reference semantics for ``reduce_node_bucket``.)"""
-    by_label = g.groupby("label")["count"].sum()
-    label = by_label.sort_values(ascending=False).index[0]
-    aliases = sorted(g["surface"].unique())[:_ALIAS_CAP]
-    return pd.DataFrame(
-        {
-            "canon_id": [g["canon_id"].iloc[0]],
-            "surface": [g["canon_id"].iloc[0]],
-            "label": [label],
-            "aliases": [aliases],
-            "mention_count": np.array([int(g["count"].sum())], dtype=np.int64),
-        }
-    )
-
-
 def reduce_node_bucket(g: pd.DataFrame) -> pd.DataFrame:
-    """Whole-bucket node reduce (vectorized analog of
-    ``reduce_node_group`` over every canon_id in the bucket).
+    """Node partials -> one node row per canon_id, sorted by canon_id:
+    total mentions, modal label, and the first ``_ALIAS_CAP`` distinct
+    surfaces in sorted order as aliases.
 
-    Modal-label tie-break matches the per-key version: pandas
-    ``groupby("label")`` sorts labels ascending and the descending
-    count sort is stable, so ties pick the LEXICALLY SMALLEST label —
-    replicated here by sorting (count desc, label asc) and keeping the
-    first row per canon_id."""
+    Modal-label ties pick the LEXICALLY SMALLEST label (sort by count
+    desc, label asc, keep the first row per canon_id).  Every aggregate
+    is a sum or a sorted set per canon_id, so the result does not depend
+    on how the partials were split or pre-summed."""
     by_cl = (
         g.groupby(["canon_id", "label"], sort=False)["count"].sum().reset_index()
     )
@@ -434,3 +415,15 @@ def reduce_node_bucket(g: pd.DataFrame) -> pd.DataFrame:
         }
     )
     return out.reset_index(drop=True)
+
+
+def reduce_nodes(partials: pa.Table) -> pa.Table:
+    """Every node partial of a corpus -> its node table (NODES_SCHEMA),
+    sorted by canon_id: one whole-table ``reduce_node_bucket`` call,
+    bounded by the surface vocabulary like the canon map."""
+    if partials.num_rows == 0:
+        return NODES_SCHEMA.empty_table()
+    nodes = reduce_node_bucket(partials.to_pandas())
+    return pa.Table.from_pandas(
+        nodes, schema=NODES_SCHEMA, preserve_index=False
+    ).sort_by("canon_id")

@@ -34,7 +34,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from gliner_cpp_ray.stages.canonicalize import _dict_codes, canon_of
+from gliner_cpp_ray.stages.canonicalize import _dict_codes, _qid_of, canon_of
 from gliner_cpp_ray.stages.linking import default_linker
 
 _EMPTY_PARTIAL = pa.table(
@@ -49,7 +49,7 @@ def doc_canon_partial(batch: pa.Table, canon_map: dict) -> pa.Table:
     """mentions batch -> distinct (doc_id, canon_id) rows.
 
     Context-free canonicalization, identical to the node stage's
-    ``MentionCanonizer``: the entity canon when (surface, label) is
+    mention partials (``canonicalize.resolve_surfaces``): the entity canon when (surface, label) is
     unambiguous in the alias dictionary, else the NIL surface cluster.
     """
     if batch.num_rows == 0:
@@ -83,9 +83,7 @@ def _canon_codes(batch: pa.Table, canon_map: dict):
     for k, code in enumerate(uniq):
         l = int(code) % len(ld)
         s = int(code) // len(ld)
-        cands = linker.candidates(sd[s], ld[l])
-        qid = cands[0] if len(cands) == 1 else ""
-        canon = canon_of(canon_map, sd[s], ld[l], qid)
+        canon = canon_of(canon_map, sd[s], ld[l], _qid_of(linker, sd[s], ld[l]))
         cid = canon_vocab.get(canon)
         if cid is None:
             cid = canon_vocab[canon] = len(canon_vocab)

@@ -45,15 +45,6 @@ def default_buckets(n_buckets: int | None = None, *, per_cpu: int = 2,
     return max(floor, min(cap, per_cpu * cluster_cpus()))
 
 
-def default_reduce_partitions(n: int | None = None, *, floor: int = 8,
-                              cap: int = 4096) -> int:
-    """Partition count for post-combiner shuffles (streams already
-    reduced to distinct-keys×blocks rows): ~1 per CPU."""
-    if n is not None:
-        return int(n)
-    return max(floor, min(cap, cluster_cpus()))
-
-
 def default_concurrency(concurrency=None, *, floor: int = 4) -> tuple[int, int]:
     """Autoscaling actor-pool bounds for stateful map_batches stages:
     (1, max(floor, CPUs)) — the pool can grow to one actor per CPU and
@@ -77,7 +68,7 @@ def bytes_scaled_partitions(total_bytes: int, n: int | None = None, *,
     """Partition count scaled to INPUT VOLUME and capped by cluster
     size: ``clamp(total_bytes / per_partition_bytes, floor, 2×CPUs)``.
 
-    A pure cluster-derived count (``default_reduce_partitions``) is
+    A pure cluster-derived count (``default_buckets``) is
     right when data grows with the cluster, but over-partitions small
     inputs — at bench scale every extra partition is ~0.1 s of fixed
     per-partition cost across a repartition+groupby pair for zero

@@ -213,6 +213,19 @@ def test_pipeline_with_fully_filtered_corpus(ray_session, corpus_dir, tmp_path_f
     for stage in ["linked", "canon", "edges", "nodes"]:
         assert os.path.exists(os.path.join(out, stage, "_SUCCESS"))
 
+    # the tail's oracle over no blocks: an empty, typed node table
+    import pickle
+
+    from tests.oracle_kg_tail import canon_oracle, edges_oracle, nodes_oracle
+
+    pairs, canon_map = canon_oracle([])
+    with open(os.path.join(out, "canon", "canon_map.pkl"), "rb") as f:
+        assert pickle.load(f) == canon_map
+    assert summary["canon"]["n_pairs"] == pairs.num_rows == 0
+    assert _table(out, "nodes").equals(nodes_oracle([], [], canon_map))
+    edges = _files(out, "edges")
+    assert not edges or _table(out, "edges").num_rows == edges_oracle([], canon_map).num_rows
+
 
 def test_token_level_ner_stage_matches_oracle(ray_session, corpus_dir):
     """A12 end-to-end: the token-level decode path through the REAL Ray
@@ -356,3 +369,225 @@ def test_delta_ingest_matches_full_run(
     again = run_kg_delta(files[1:], out, cfg)
     assert again["mentions"]["wall_sec"] == summary["mentions"]["wall_sec"]
     assert again["edges"]["wall_sec"] == summary["edges"]["wall_sec"]
+
+
+# --- the KG tail against its per-block oracle (tests/oracle_kg_tail.py) ---
+
+def _files(out_dir, name):
+    return sorted(
+        os.path.join(root, f)
+        for root, _, names in os.walk(os.path.join(out_dir, name))
+        for f in names
+        if f.endswith(".parquet")
+    )
+
+
+def _table(out_dir, name):
+    import pyarrow.dataset as pads
+
+    return pads.dataset(_files(out_dir, name)).to_table()
+
+
+def _key_sorted(tbl, key):
+    return tbl.sort_by([(k, "ascending") for k in key])
+
+
+def _scan_blocks(tbl, ray_session):
+    # the pipeline's scan blocking of a one-file stage: Ray splits the
+    # file's block into max(8, 4 x CPUs) pieces sized as np.array_split
+    # does (edge provenance samples one doc per triple per block, so the
+    # oracle must see the same blocks)
+    import numpy as np
+
+    n = max(8, 4 * int(ray_session.cluster_resources()["CPU"]))
+    return [
+        tbl.slice(int(part[0]), len(part))
+        for part in np.array_split(np.arange(tbl.num_rows), n)
+        if len(part)
+    ]
+
+
+def test_tail_matches_oracle(ray_session, pipeline_out):
+    """Canon map, nodes (every column, aliases included) and edges
+    (provenance included) equal the per-block replay of the kept stage
+    functions over the run's own checkpoints."""
+    import pickle
+
+    from tests.oracle_kg_tail import (
+        EDGE_KEY, canon_oracle, edges_oracle, nodes_oracle,
+    )
+
+    out, _, _ = pipeline_out
+    mentions = _table(out, "mentions").select(["text", "label"])
+    assert len(_files(out, "linked")) == 1
+    linked = _table(out, "linked")
+    blocks = _scan_blocks(linked, ray_session)
+
+    pairs, canon_map = canon_oracle(_scan_blocks(mentions, ray_session))
+    with open(os.path.join(out, "canon", "canon_map.pkl"), "rb") as f:
+        assert pickle.load(f) == canon_map
+    with open(os.path.join(out, "canon", "manifest.json")) as f:
+        assert json.load(f)["n_pairs"] == pairs.num_rows
+
+    nodes = _table(out, "nodes")
+    assert len(_files(out, "nodes")) == 1
+    assert nodes.column("canon_id").to_pylist() == sorted(nodes.column("canon_id").to_pylist())
+    want = nodes_oracle([mentions], blocks, canon_map)
+    assert nodes.num_rows == want.num_rows > 0
+    assert nodes.equals(want)
+
+    edges = _table(out, "edges")
+    want_e = edges_oracle(blocks, canon_map)
+    assert edges.num_rows == want_e.num_rows > 0
+    assert _key_sorted(edges, EDGE_KEY).equals(want_e)
+
+
+def _synthetic_mentions():
+    import pyarrow as pa
+
+    # 20 case variants of one NIL surface: one canon_id, 20 aliases (cap 16)
+    word = "quuxwordz"
+    rows = [
+        ("".join(c.upper() if (k >> i) & 1 else c for i, c in enumerate(word)), "person")
+        for k in range(20)
+    ]
+    # a modal-label tie inside one canon_id: 3 x person, 3 x organization
+    rows += [("Zorblat", "person")] * 3 + [("zorblat", "organization")] * 3
+    # unambiguous mentions of an entity that an endpoint also feeds
+    rows += [("Kyiv", "city")] * 2 + [("Kiev", "city")]
+    # an ambiguous surface: a NIL cluster of its own
+    rows += [("Victoria", "city")] * 2
+    return [
+        pa.table(
+            {
+                "text": pa.array([r[0] for r in rows[i::3]], pa.string()),
+                "label": pa.array([r[1] for r in rows[i::3]], pa.string()),
+            }
+        )
+        for i in range(3)
+    ]
+
+
+def _synthetic_endpoints():
+    import pyarrow as pa
+
+    def block(rows):
+        names = ["subj", "obj", "subj_label", "obj_label", "subj_qid", "obj_qid"]
+        return pa.table(
+            {n: pa.array([r[i] for r in rows], pa.string()) for i, n in enumerate(names)}
+        )
+
+    # context-resolved ambiguous endpoints; the second one lands in the
+    # canon_id the Kyiv/Kiev mentions feed
+    vic_ca = ("Victoria", "Canada", "city", "country", "Q_city_victoria_(canada)",
+              "Q_country_canada")
+    vic_kyiv = ("Victoria", "Ukraine", "city", "country", "Q_city_kyiv",
+                "Q_country_ukraine")
+    return [block([vic_ca, vic_kyiv]), block([vic_ca]), block([])]
+
+
+def test_tail_driver_reduce_matches_oracle_on_synthetic_tables(ray_session):
+    """The alias cap, a modal-label tie and one canon_id fed by both
+    mention and endpoint partials, through the pipeline's own exchange
+    and driver reduce."""
+    import ray.data as rd
+
+    from gliner_cpp_ray.pipelines.kg import _canon_from_mentions, _nodes_from_linked
+    from tests.oracle_kg_tail import canon_oracle, nodes_oracle
+
+    mentions, endpoints = _synthetic_mentions(), _synthetic_endpoints()
+    pairs, canon_map, partials = _canon_from_mentions(rd.from_arrow(mentions), 4)
+    want_pairs, want_map = canon_oracle(mentions)
+    assert pairs.equals(want_pairs)
+    assert canon_map == want_map
+    nodes = _nodes_from_linked(rd.from_arrow(endpoints), canon_map, partials, 4)
+    assert nodes.equals(nodes_oracle(mentions, endpoints, want_map))
+
+    by_id = {r["canon_id"]: r for r in nodes.to_pylist()}
+    assert len(by_id["quuxwordz"]["aliases"]) == 16
+    assert by_id["quuxwordz"]["mention_count"] == 20
+    assert by_id["zorblat"]["label"] == "organization"
+    assert by_id["Kyiv"]["aliases"] == ["Kiev", "Kyiv", "Victoria"]
+    assert by_id["Kyiv"]["mention_count"] == 4
+    assert by_id["Victoria (Canada)"]["mention_count"] == 2
+    assert by_id["victoria"]["mention_count"] == 2
+
+
+def _copy_out(pipeline_out, tmp_path_factory, name):
+    out, _, corpus = pipeline_out
+    dst = os.path.join(str(tmp_path_factory.mktemp(name)), "out")
+    shutil.copytree(out, dst)
+    return dst, corpus
+
+
+def test_tail_checkpoint_of_another_layout_is_recomputed(pipeline_out, tmp_path_factory):
+    """Downstream checkpoints written without the tail layout version
+    (and without the canon stage's mention node partials) are
+    recomputed, not reused, and give the same graph."""
+    out, _, _ = pipeline_out
+    copy, corpus = _copy_out(pipeline_out, tmp_path_factory, "kg_layout")
+    stages = ["linked", "canon", "edges", "nodes"]
+    for stage in stages:
+        mpath = os.path.join(copy, stage, "manifest.json")
+        with open(mpath) as f:
+            m = json.load(f)
+        del m["config"]["tail"]
+        with open(mpath, "w") as f:
+            json.dump(m, f)
+    os.remove(os.path.join(copy, "canon", "mention_nodes.parquet"))
+
+    cfg = KGPipelineConfig(ner_concurrency=(1, 2), link_concurrency=(1, 2), shards=2)
+    run_kg_pipeline(os.path.join(corpus, "pages"), copy, cfg)
+    for stage in stages:
+        with open(os.path.join(copy, stage, "manifest.json")) as f:
+            assert "tail" in json.load(f)["config"]
+    assert os.path.exists(os.path.join(copy, "canon", "mention_nodes.parquet"))
+    assert _table(copy, "nodes").equals(_table(out, "nodes"))
+    # provenance samples one doc per triple per scan block, and the
+    # recomputed linked checkpoint need not keep the row order
+    key = ["subj_canon", "pred", "obj_canon"]
+    assert _key_sorted(_table(copy, "edges").drop(["provenance"]), key).equals(
+        _key_sorted(_table(out, "edges").drop(["provenance"]), key)
+    )
+
+
+def test_downstream_scans_mentions_once_for_surfaces(
+    pipeline_out, tmp_path_factory, monkeypatch
+):
+    """``mentions`` is read twice per downstream run — all columns for
+    linked, ``text``/``label`` for canon — and the nodes stage reads
+    only ``linked``."""
+    import ray.data as rd
+
+    from gliner_cpp_ray.state import checkpoint
+
+    copy, corpus = _copy_out(pipeline_out, tmp_path_factory, "kg_scans")
+    for stage in ["linked", "canon", "edges", "nodes"]:
+        shutil.rmtree(os.path.join(copy, stage))
+
+    current = []
+    reads = []
+    real_run_stage, real_read = checkpoint.run_stage, rd.read_parquet
+
+    def run_stage(path, manifest, producer):
+        current.append(manifest["stage"])
+        try:
+            return real_run_stage(path, manifest, producer)
+        finally:
+            current.pop()
+
+    def read_parquet(paths, *args, **kwargs):
+        rel = os.path.relpath(str(paths), copy).split(os.sep)[0]
+        reads.append((current[-1] if current else None, rel, kwargs.get("columns")))
+        return real_read(paths, *args, **kwargs)
+
+    monkeypatch.setattr(checkpoint, "run_stage", run_stage)
+    monkeypatch.setattr(rd, "read_parquet", read_parquet)
+    cfg = KGPipelineConfig(ner_concurrency=(1, 2), link_concurrency=(1, 2), shards=2)
+    run_kg_pipeline(os.path.join(corpus, "pages"), copy, cfg)
+
+    assert [r for r in reads if r[1] == "mentions"] == [
+        ("linked", "mentions", None),
+        ("canon", "mentions", ["text", "label"]),
+    ]
+    assert {r[1] for r in reads if r[0] == "nodes"} == {"linked"}

@@ -124,3 +124,49 @@ def test_kg_pred_patterns_whitespace_matches_duckdb(text):
         "SELECT trim(regexp_replace(?, '\\s+', ' ', 'g'), ' ')", [text]
     ).fetchone()[0]
     assert _collapse_pattern_ws(text) == want
+
+
+def test_orders_snapshot_diff_compares_digests_exactly():
+    """The 60-bit row digests must compare as integers: an outer merge
+    with unmatched keys must not round them to float64 first."""
+    import pyarrow as pa
+
+    from gliner_cpp_ray.pipelines.queries import _snapshot_diff_classify
+
+    base = 1 << 59  # base + 1 and base + 2 round to the same float64
+    g = pd.DataFrame(
+        {
+            "key": [1, 2, 1, 3],
+            "status": ["O", "F", "O", "P"],
+            "h": [base + 1, base + 5, base + 2, base + 7],
+            "side": [0, 0, 1, 1],
+        }
+    )
+    got = _snapshot_diff_classify(g).sort_by("kind").to_pylist()
+    assert got == [
+        {"status": "P", "kind": "added", "n": 1},
+        {"status": "O", "kind": "changed", "n": 1},
+        {"status": "F", "kind": "removed", "n": 1},
+    ]
+    assert pa.types.is_int64(_snapshot_diff_classify(g).schema.field("n").type)
+
+
+def test_order_priority_merge_revenue_reads_a_directory_table(ray_session, tmp_path):
+    """``lineitem.parquet`` may be a directory of part files, as every
+    other sf reader here allows."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    shutil.copy(os.path.join(SF_DIR, "orders.parquet"), tmp_path / "orders.parquet")
+    lineitem = pq.read_table(os.path.join(SF_DIR, "lineitem.parquet"))
+    parts = tmp_path / "lineitem.parquet"
+    parts.mkdir()
+    half = lineitem.num_rows // 2
+    pq.write_table(lineitem.slice(0, half), parts / "part-0.parquet")
+    pq.write_table(lineitem.slice(half), parts / "part-1.parquet")
+
+    name = "order_priority_merge_revenue"
+    got = _canon(_as_df(queries()[name](str(tmp_path))))
+    want = _canon(_duck(ORACLES[name]))
+    _assert_hash_equivalent(name, got, want)
