@@ -5,7 +5,7 @@
     mentions ──relations──▶ triples ──linker tasks──▶ linked  [checkpoint]
     mentions(text, label) ──count──sum exchange──▶ driver: canon map
       + mention node partials  [canon]
-    linked ──canon rewrite──groupby(bucket)──sort(subj)──▶ edges
+    linked ──canon rewrite──keyed exchange(triple)──sort(subj)──▶ edges
     linked ──endpoint partials──sum exchange──▶ driver: reduce with the
       mention node partials ──sort(canon_id)──▶ nodes
 
@@ -13,8 +13,8 @@ Each stage streams; the driver holds only vocabulary-bounded tables
 (merged surface counts, canon map, node table).  Stage outputs are
 Parquet with manifests + ``_SUCCESS`` (state/checkpoint.py); the NER
 stage is also sharded over input-file groups so a failed run resumes
-mid-stage.  Shuffles after NER: surface sum; edge repartition, bucket
-groupby and subject sort; endpoint sum.
+mid-stage.  Shuffles after NER: surface sum; edge repartition, keyed
+exchange and subject sort; endpoint sum.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import pyarrow.dataset as pads
 from gliner_cpp_ray.stages.canonicalize import (
     NODE_PARTIALS_SCHEMA,
     SURFACE_COUNTS_SCHEMA,
-    add_key_bucket,
     canonize_triple_endpoints,
     count_surfaces,
     reduce_edge_bucket,
@@ -358,9 +357,10 @@ def _nodes_from_linked(linked, canon_map: dict, mention_partials, n_parts: int):
     )
 
 
-# layout version of the downstream checkpoints, part of their config: a
+# layout version of the downstream checkpoints (schema or column meaning,
+# e.g. which doc ids edge provenance keeps), part of their config: a
 # stage written under another layout is recomputed, not reused
-_TAIL_LAYOUT = 2
+_TAIL_LAYOUT = 3
 
 
 def _run_downstream(out_root: str, cfg: KGPipelineConfig, reduce_parts: int) -> dict:
@@ -481,31 +481,28 @@ def _run_downstream(out_root: str, cfg: KGPipelineConfig, reduce_parts: int) -> 
     ]
 
     def produce_edges(path):
+        # imported here, not at module top, so importing this module
+        # does not load the join stages
+        from gliner_cpp_ray.stages.joins import keyed_exchange
+
         linked = read_stage("linked", linked_schema, columns=_EDGE_COLS)
         partial = linked.map_batches(
             rewrite_triples_to_canon,
             fn_kwargs={"canon_map": canon_map},
             batch_format="pyarrow",
         )
-        # shuffle on a HASH BUCKET of the triple key, not the key itself:
-        # the reduce then runs once per bucket (vectorized pandas groupby
-        # over every key in it) instead of once per distinct triple —
-        # per-key map_groups was the r1 reducer hotspot.  The repartition
-        # first COALESCES the post-combiner partial stream (tiny rows
-        # spread over ~4·CPU scan blocks) so the all-to-all shuffles a
-        # handful of blocks, not hundreds of slivers — measured 10x on
-        # the stage wall time at 2M pages.  Distinct edges are not
-        # vocabulary-bounded, so this reduce stays distributed.
-        edges = (
-            partial.repartition(reduce_parts)
-            .map_batches(
-                lambda df: add_key_bucket(df, _EDGE_KEY_COLS, reduce_parts),
-                batch_format="pandas",
-            )
-            .groupby("__bucket")
-            .map_groups(reduce_edge_bucket, batch_format="pandas")
-            .sort("subj_canon")
-        )
+        # keyed_exchange on the triple key: one vectorized
+        # reduce_edge_bucket per hash bucket, not one map_groups call per
+        # distinct triple.  The repartition first COALESCES the
+        # post-combiner partial stream (tiny rows spread over ~4·CPU scan
+        # blocks) so the all-to-all shuffles a handful of blocks, not
+        # hundreds of slivers — measured 10x on the stage wall time at 2M
+        # pages.  Distinct edges are not vocabulary-bounded, so this
+        # reduce stays distributed.
+        edges = keyed_exchange(
+            partial.repartition(reduce_parts),
+            _EDGE_KEY_COLS, reduce_edge_bucket, reduce_parts,
+        ).sort("subj_canon")
         edges.write_parquet(path)
         return {"input": "linked", "dataset_stats": _trim_stats(edges)}
 

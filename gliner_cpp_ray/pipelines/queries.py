@@ -6366,10 +6366,7 @@ def q_events_late_arrivals(sf_dir: str):
     ONE key-hash exchange; the per-bucket reduce is a sort + C-level
     grouped cummax + vectorized compare, aggregated per user inside the
     bucket (each user fully co-located)."""
-    from gliner_cpp_ray.stages.joins import add_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
-    n_buckets = default_buckets(None)
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -6407,25 +6404,18 @@ def q_events_late_arrivals(sf_dir: str):
                            "max_lateness_us": np.int64})
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts"])
-    return (
+    return keyed_exchange(
         ds.map_batches(
-            lambda t: add_bucket(
-                pa.table(
-                    {
-                        "user_id": t.column("user_id"),
-                        "event_id": t.column("event_id"),
-                        "ts_us": t.column("ts").cast(pa.int64()),
-                    }
-                ),
-                "user_id", n_buckets,
+            lambda t: pa.table(
+                {
+                    "user_id": t.column("user_id"),
+                    "event_id": t.column("event_id"),
+                    "ts_us": t.column("ts").cast(pa.int64()),
+                }
             ),
             batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
+        ),
+        "user_id", reduce_bucket,
     )
 
 
@@ -6799,7 +6789,9 @@ def q_kg_entity_components(sf_dir: str):
     import hashlib
 
     from gliner_cpp_ray.stages.graph import cc_label_propagation
-    from gliner_cpp_ray.stages.joins import bucketed_group_agg, bucketed_hash_join
+    from gliner_cpp_ray.stages.joins import (
+        bucketed_group_agg, bucketed_hash_join, keyed_exchange,
+    )
 
     def h60(s: str) -> int:  # md5-u60: int64-safe, repo-wide convention
         return int(hashlib.md5(s.encode("utf-8")).hexdigest()[:15], 16)
@@ -6850,9 +6842,6 @@ def q_kg_entity_components(sf_dir: str):
 
     # final rollup keeps the STRING min (the lexicographically smallest
     # member canon), so it reduces via pandas per label-hash bucket
-    from gliner_cpp_ray.stages.joins import add_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
             return pd.DataFrame(
@@ -6865,17 +6854,7 @@ def q_kg_entity_components(sf_dir: str):
         out["n_nodes"] = out["n_nodes"].astype(np.int64)
         return out[["component", "n_nodes"]]
 
-    return (
-        joined.map_batches(
-            lambda t: add_bucket(t, "label", default_buckets(8)),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    return keyed_exchange(joined, "label", reduce_bucket, 8)
 
 
 def q_ship_priority_mix(sf_dir: str):
@@ -8046,21 +8025,18 @@ def q_user_coverage_time(sf_dir: str):
     Σ max(0, end − max(start, prev_max_end))) — int64-exact epoch µs,
     no per-row Python.  The SQL twin is the windowed prev-max-end
     formulation."""
-    from gliner_cpp_ray.stages.joins import add_group_bucket
+    from gliner_cpp_ray.stages.joins import keyed_exchange
     from gliner_cpp_ray.stages.sizing import bytes_scaled_partitions
 
     span_us = 300 * 1_000_000
     nb = bytes_scaled_partitions(_path_bytes(_sf_path(sf_dir, "events")))
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts"]).map_batches(
-        lambda t: add_group_bucket(
-            pa.table(
-                {
-                    "user_id": t.column("user_id"),
-                    "s": t.column("ts").cast(pa.int64()),
-                }
-            ),
-            ["user_id"], nb,
+        lambda t: pa.table(
+            {
+                "user_id": t.column("user_id"),
+                "s": t.column("ts").cast(pa.int64()),
+            }
         ),
         batch_format="pyarrow",
     )
@@ -8086,7 +8062,7 @@ def q_user_coverage_time(sf_dir: str):
         )["covered_us"].sum().reset_index()
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    return ds.groupby("__bucket").map_groups(sweep, batch_format="pandas")
+    return keyed_exchange(ds, "user_id", sweep, nb)
 
 
 def q_lineitem_weighted_median(sf_dir: str):
@@ -8245,7 +8221,7 @@ def q_kg_node_degree_profile(sf_dir: str):
     (node, out, in, pred) partials map-side, ONE node-keyed bucketed
     group pass sums degrees and counts distinct subject-predicates
     inside the per-bucket reduce (graph-bounded, never corpus-bounded)."""
-    from gliner_cpp_ray.stages.joins import add_group_bucket
+    from gliner_cpp_ray.stages.joins import keyed_exchange
     from gliner_cpp_ray.stages.sizing import bytes_scaled_partitions
 
     _, out = _run_kg(sf_dir)
@@ -8256,7 +8232,7 @@ def q_kg_node_degree_profile(sf_dir: str):
 
     def emit(t: pa.Table) -> pa.Table:
         n = t.num_rows
-        both = pa.table(
+        return pa.table(
             {
                 "node": pa.concat_arrays(
                     [
@@ -8277,10 +8253,8 @@ def q_kg_node_degree_profile(sf_dir: str):
                 ),
             }
         )
-        return add_group_bucket(both, ["node"], nb)
 
     def reduce(g: pd.DataFrame) -> pa.Table:
-        g = g.drop(columns="__bucket")
         is_out = g["is_out"].to_numpy()
         grp = g.groupby("node", sort=False)
         out_deg = grp["is_out"].sum().rename("out_deg")
@@ -8299,10 +8273,8 @@ def q_kg_node_degree_profile(sf_dir: str):
             out[c] = out[c].astype(np.int64)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    return (
-        edges.map_batches(emit, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(reduce, batch_format="pandas")
+    return keyed_exchange(
+        edges.map_batches(emit, batch_format="pyarrow"), "node", reduce, nb
     )
 
 
@@ -8346,22 +8318,19 @@ def q_orders_partition_checksums(sf_dir: str):
     machinery (not a key-walking groupby) does the merge."""
     import hashlib
 
-    from gliner_cpp_ray.stages.joins import add_group_bucket
+    from gliner_cpp_ray.stages.joins import keyed_exchange
     from gliner_cpp_ray.stages.sizing import bytes_scaled_partitions
 
     nb = bytes_scaled_partitions(_path_bytes(_sf_path(sf_dir, "orders")))
 
     def partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:  # flatnonzero([True]) would index into it
-            return add_group_bucket(
-                pa.table(
-                    {
-                        "part_id": pa.array([], pa.int64()),
-                        "n_rows": pa.array([], pa.int64()),
-                        "checksum": pa.array([], pa.int64()),
-                    }
-                ),
-                ["part_id"], nb,
+            return pa.table(
+                {
+                    "part_id": pa.array([], pa.int64()),
+                    "n_rows": pa.array([], pa.int64()),
+                    "checksum": pa.array([], pa.int64()),
+                }
             )
         df = t.to_pandas()
         s = (
@@ -8388,14 +8357,13 @@ def q_orders_partition_checksums(sf_dir: str):
         )
         xors = np.bitwise_xor.reduceat(h, starts)
         counts = np.diff(np.concatenate([starts, [len(part)]]))
-        out = pa.table(
+        return pa.table(
             {
                 "part_id": pa.array(part[starts]),
                 "n_rows": pa.array(counts.astype(np.int64)),
                 "checksum": pa.array(xors),
             }
         )
-        return add_group_bucket(out, ["part_id"], nb)
 
     def reduce(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values("part_id", kind="mergesort")
@@ -8417,10 +8385,8 @@ def q_orders_partition_checksums(sf_dir: str):
         return pa.Table.from_pandas(out, preserve_index=False)
 
     ds = _read(sf_dir, "orders")
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(reduce, batch_format="pandas")
+    return keyed_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), "part_id", reduce, nb
     )
 
 
@@ -10007,7 +9973,7 @@ def q_orders_snapshot_diff(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    from gliner_cpp_ray.stages.joins import add_group_bucket
+    from gliner_cpp_ray.stages.joins import keyed_exchange
     from gliner_cpp_ray.stages.sizing import bytes_scaled_partitions
 
     nb = bytes_scaled_partitions(_path_bytes(_sf_path(sf_dir, "orders")))
@@ -10053,7 +10019,7 @@ def q_orders_snapshot_diff(sf_dir: str):
             prio[rep],
         )
 
-        out = pa.table(
+        return pa.table(
             {
                 "key": pa.array(
                     np.concatenate([key, key[keep], key[rep] + OFF])
@@ -10077,13 +10043,12 @@ def q_orders_snapshot_diff(sf_dir: str):
                 ),
             }
         )
-        return add_group_bucket(out, ["key"], nb)
 
     return (
-        _read(sf_dir, "orders")
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_snapshot_diff_classify, batch_format="pandas")
+        keyed_exchange(
+            _read(sf_dir, "orders").map_batches(project, batch_format="pyarrow"),
+            "key", _snapshot_diff_classify, nb,
+        )
         .groupby(["status", "kind"])
         .aggregate(Sum("n", alias_name="n"))
     )
@@ -10501,27 +10466,24 @@ def q_purchase_attribution(sf_dir: str):
     twin is last_value(... IGNORE NULLS) over the user window."""
     from ray.data.aggregate import Sum
 
-    from gliner_cpp_ray.stages.joins import add_group_bucket
+    from gliner_cpp_ray.stages.joins import keyed_exchange
     from gliner_cpp_ray.stages.sizing import bytes_scaled_partitions
 
     nb = bytes_scaled_partitions(_path_bytes(_sf_path(sf_dir, "events")))
     HOUR_US = 3_600_000_000
 
     def project(t: pa.Table) -> pa.Table:
-        return add_group_bucket(
-            pa.table(
-                {
-                    "user_id": t.column("user_id"),
-                    "us": t.column("ts").cast(pa.int64()),
-                    "event_id": t.column("event_id"),
-                    "event_type": t.column("event_type"),
-                    "vm": pc.cast(
-                        pc.floor(pc.multiply(t.column("value"), 1000.0)),
-                        pa.int64(),
-                    ),
-                }
-            ),
-            ["user_id"], nb,
+        return pa.table(
+            {
+                "user_id": t.column("user_id"),
+                "us": t.column("ts").cast(pa.int64()),
+                "event_id": t.column("event_id"),
+                "event_type": t.column("event_type"),
+                "vm": pc.cast(
+                    pc.floor(pc.multiply(t.column("value"), 1000.0)),
+                    pa.int64(),
+                ),
+            }
         )
 
     def attribute(g: pd.DataFrame) -> pa.Table:
@@ -10581,12 +10543,9 @@ def q_purchase_attribution(sf_dir: str):
         )
 
     return (
-        _read(sf_dir, "events")
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: attribute(g.drop(columns="__bucket")),
-            batch_format="pandas",
+        keyed_exchange(
+            _read(sf_dir, "events").map_batches(project, batch_format="pyarrow"),
+            "user_id", attribute, nb,
         )
         .groupby("attributed_type")
         .aggregate(
@@ -10697,24 +10656,21 @@ def q_user_k_anonymity(sf_dir: str):
     nunique); the class rollup is bounded by |types| × 4 bands."""
     from ray.data.aggregate import Sum
 
-    from gliner_cpp_ray.stages.joins import add_group_bucket
+    from gliner_cpp_ray.stages.joins import keyed_exchange
     from gliner_cpp_ray.stages.sizing import bytes_scaled_partitions
 
     nb = bytes_scaled_partitions(_path_bytes(_sf_path(sf_dir, "events")))
 
     def project(t: pa.Table) -> pa.Table:
-        return add_group_bucket(
-            pa.table(
-                {
-                    "user_id": t.column("user_id"),
-                    "event_type": t.column("event_type"),
-                    "day": pc.divide(
-                        t.column("ts").cast(pa.int64()),
-                        pa.scalar(86_400_000_000, pa.int64()),
-                    ),
-                }
-            ),
-            ["user_id"], nb,
+        return pa.table(
+            {
+                "user_id": t.column("user_id"),
+                "event_type": t.column("event_type"),
+                "day": pc.divide(
+                    t.column("ts").cast(pa.int64()),
+                    pa.scalar(86_400_000_000, pa.int64()),
+                ),
+            }
         )
 
     def per_user(g: pd.DataFrame) -> pa.Table:
@@ -10755,12 +10711,10 @@ def q_user_k_anonymity(sf_dir: str):
         )
 
     classes = (
-        _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: per_user(g.drop(columns="__bucket")),
-            batch_format="pandas",
+        keyed_exchange(
+            _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
+            .map_batches(project, batch_format="pyarrow"),
+            "user_id", per_user, nb,
         )
         .groupby(["top_type", "day_band"])
         .aggregate(Sum("n_users", alias_name="n_users"))
@@ -11595,29 +11549,26 @@ def q_events_hourly_ohlc(sf_dir: str):
     the per-bucket reduce is a single sort + vectorized groupby
     (first/last are positional heads of the sorted runs, never a
     per-bar Python loop); bar count is calendar-bounded."""
-    from gliner_cpp_ray.stages.joins import add_group_bucket
+    from gliner_cpp_ray.stages.joins import keyed_exchange
     from gliner_cpp_ray.stages.sizing import bytes_scaled_partitions
 
     nb = bytes_scaled_partitions(_path_bytes(_sf_path(sf_dir, "events")))
 
     def project(t: pa.Table) -> pa.Table:
         us = t.column("ts").cast(pa.int64())
-        return add_group_bucket(
-            pa.table(
-                {
-                    "event_type": t.column("event_type"),
-                    "hour": pc.divide(
-                        us, pa.scalar(3_600_000_000, pa.int64())
-                    ),
-                    "us": us,
-                    "event_id": t.column("event_id"),
-                    "vm": pc.cast(
-                        pc.floor(pc.multiply(t.column("value"), 1000.0)),
-                        pa.int64(),
-                    ),
-                }
-            ),
-            ["event_type", "hour"], nb,
+        return pa.table(
+            {
+                "event_type": t.column("event_type"),
+                "hour": pc.divide(
+                    us, pa.scalar(3_600_000_000, pa.int64())
+                ),
+                "us": us,
+                "event_id": t.column("event_id"),
+                "vm": pc.cast(
+                    pc.floor(pc.multiply(t.column("value"), 1000.0)),
+                    pa.int64(),
+                ),
+            }
         )
 
     def bars(g: pd.DataFrame) -> pa.Table:
@@ -11637,15 +11588,11 @@ def q_events_hourly_ohlc(sf_dir: str):
             out[c] = out[c].astype(np.int64)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    return (
+    return keyed_exchange(
         _read(sf_dir, "events",
               columns=["event_type", "ts", "event_id", "value"])
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: bars(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
+        .map_batches(project, batch_format="pyarrow"),
+        ["event_type", "hour"], bars, nb,
     )
 
 

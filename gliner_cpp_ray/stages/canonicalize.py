@@ -7,8 +7,9 @@
    ``build_canon_map``, a union-find (state/union_find.py) over surfaces
    and qids with a deterministic ``canon_id`` per component; it also
    emits the mention node partials.
-3. ``rewrite_triples_to_canon`` — per-block edge partials, merged by a
-   bucketed ``reduce_edge_bucket`` and sorted by subject (B13).
+3. ``rewrite_triples_to_canon`` — per-block edge partials, merged by
+   ``reduce_edge_bucket`` behind one ``keyed_exchange`` on the triple
+   key and sorted by subject (B13).
 4. ``canonize_triple_endpoints`` — node partials of context-resolved
    ambiguous endpoints; with the mention partials they reduce once on
    the driver (``reduce_nodes``), under the same vocabulary bound.
@@ -199,8 +200,11 @@ def rewrite_triples_to_canon(batch: pa.Table, canon_map: dict) -> pa.Table:
     """linked triples -> PRE-AGGREGATED edge partials per batch:
     (subj_canon, pred, obj_canon, count, prov) — the combiner pattern:
     reduce inside map_batches so the groupby shuffle moves one row per
-    distinct triple per batch, not one per occurrence.  ``prov`` samples
-    one doc id per triple per batch (merged + capped in the reduce).
+    distinct triple per batch, not one per occurrence.  ``prov`` holds
+    the smallest ``_PROVENANCE_CAP`` distinct doc ids of the triple in
+    the batch; the smallest K of a union equals the smallest K of the
+    parts' smallest K, so ``reduce_edge_bucket``'s merge gives every
+    edge its smallest K supporting docs under ANY blocking or row order.
 
     Entirely integer-coded (Arrow dictionary indices + np.unique): at
     millions of rows per block, pandas string hashing was the hot spot.
@@ -212,31 +216,54 @@ def rewrite_triples_to_canon(batch: pa.Table, canon_map: dict) -> pa.Table:
     obj_c = _canon_codes(canon_map, batch, "obj", "obj_label", "obj_qid", canon_vocab)
     pred_i, pred_d = _dict_codes(batch.column("pred"))
     group = (subj_c * len(pred_d) + pred_i) * len(canon_vocab) + obj_c
-    uniq, first_idx, counts = np.unique(group, return_index=True, return_counts=True)
+    uniq, inverse, counts = np.unique(group, return_inverse=True, return_counts=True)
     canon_arr = np.array(sorted(canon_vocab, key=canon_vocab.get), dtype=object)
     obj_u = uniq % len(canon_vocab)
     rest = uniq // len(canon_vocab)
     pred_u = rest % len(pred_d)
     subj_u = rest // len(pred_d)
-    docs = batch.column("doc_id").take(pa.array(first_idx)).to_pylist()
     return pa.table(
         {
             "subj_canon": canon_arr[subj_u],
             "pred": np.array(pred_d, dtype=object)[pred_u],
             "obj_canon": canon_arr[obj_u],
             "count": counts.astype(np.int64),
-            "prov": [[d] for d in docs],
+            "prov": _smallest_docs(batch.column("doc_id"), inverse, len(uniq)),
         },
         schema=EDGE_PARTIALS_SCHEMA,
     )
 
 
+def _smallest_docs(doc_ids: pa.ChunkedArray, group: np.ndarray,
+                   n_groups: int) -> pa.ListArray:
+    """Per group (row -> ``group`` code in [0, n_groups)), the sorted
+    smallest ``_PROVENANCE_CAP`` distinct doc ids, as one list per
+    group: dictionary-encode, rank the distinct docs once (Arrow's
+    byte order is code-point order, as Python's ``sorted``), then one
+    ``np.unique`` over (group, doc rank) pairs."""
+    d = pc.dictionary_encode(doc_ids.combine_chunks())
+    order = np.asarray(pc.sort_indices(d.dictionary), dtype=np.int64)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    n_docs = len(order)
+    pairs = np.unique(group * n_docs + rank[np.asarray(d.indices, dtype=np.int64)])
+    owner = pairs // n_docs
+    starts = np.searchsorted(owner, np.arange(n_groups))
+    keep = np.arange(len(pairs)) - starts[owner] < _PROVENANCE_CAP
+    offsets = np.searchsorted(owner[keep], np.arange(n_groups + 1))
+    docs = d.dictionary.take(pa.array(order[pairs[keep] % n_docs]))
+    return pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), docs)
+
+
 def add_key_bucket(df: pd.DataFrame, key_cols: list[str], n_buckets: int) -> pd.DataFrame:
-    """Deterministic hash bucket over string key columns (vectorized
-    ``pd.util.hash_pandas_object`` — fixed internal hash key, so stable
-    across processes/nodes).  Shuffling on the BUCKET instead of the key
-    turns millions of per-key ``map_groups`` calls into ``n_buckets``
-    whole-bucket vectorized reduces."""
+    """Deterministic hash bucket over key columns of a pandas frame
+    (vectorized ``pd.util.hash_pandas_object``, stable across
+    processes).  No pipeline stage uses it: the package's exchanges
+    bucket with ``stages.joins.add_group_bucket`` (via
+    ``keyed_exchange``).  It is kept for the benchmark's in-process
+    replay of the KG tail (perfbench/tracing.py) and the tail's test
+    oracle (tests/oracle_kg_tail.py); any key-local reduce gives the
+    same result under either bucketing."""
     h = pd.util.hash_pandas_object(df[key_cols], index=False).to_numpy()
     df["__bucket"] = (h % np.uint64(n_buckets)).astype(np.int64)
     return df

@@ -39,24 +39,15 @@ def latest_by_key(ds, key: str, order_cols: list[str],
     """-> Dataset with every input column, one row per key: the row
     maximizing ``order_cols`` lexicographically (append a unique id as
     the final order column to make the winner deterministic)."""
-    from gliner_cpp_ray.stages.joins import add_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
-    n_buckets = default_buckets(n_buckets)
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
     def combine(t: pa.Table) -> pa.Table:
         df = _keep_latest(t.to_pandas(), key, order_cols)
-        return add_bucket(
-            pa.Table.from_pandas(df, preserve_index=False), key, n_buckets
-        )
+        return pa.Table.from_pandas(df, preserve_index=False)
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return _keep_latest(g.drop(columns="__bucket"), key, order_cols)
-
-    return (
-        ds.map_batches(combine, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
+    return keyed_exchange(
+        ds.map_batches(combine, batch_format="pyarrow"), key,
+        lambda g: _keep_latest(g, key, order_cols), n_buckets,
     )
 
 def apply_cdc_delta(base, delta, key: str, val_cols: list[str],
@@ -83,19 +74,15 @@ def apply_cdc_delta(base, delta, key: str, val_cols: list[str],
     per-bucket vectorized isin-merge emits the new snapshot.  No driver
     state; tombstones travel as ordinary rows and die in the merge.
     """
-    from gliner_cpp_ray.stages.joins import add_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
-    n_buckets = default_buckets(n_buckets)
     out_cols = [key, *val_cols]
 
     latest = latest_by_key(delta, key, order_cols)
 
     def tag(op_expr):
         def fn(t: pa.Table) -> pa.Table:
-            ops = op_expr(t)
-            t = t.select(out_cols).append_column("__op", ops)
-            return add_bucket(t, key, n_buckets)
+            return t.select(out_cols).append_column("__op", op_expr(t))
 
         return fn
 
@@ -116,7 +103,6 @@ def apply_cdc_delta(base, delta, key: str, val_cols: list[str],
     delta_t = latest.map_batches(tag(delta_ops), batch_format="pyarrow")
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__bucket")
         is_base = (g["__op"] == "").to_numpy()
         b, d = g[is_base], g[~is_base]
         if b[key].duplicated().any():
@@ -125,8 +111,6 @@ def apply_cdc_delta(base, delta, key: str, val_cols: list[str],
         upserts = d[d["__op"] != delete_op]
         return pd.concat([kept_base, upserts])[out_cols]
 
-    return (
-        base_t.union(delta_t)
-        .groupby("__bucket")
-        .map_groups(merge, batch_format="pandas")
-    )
+    # both sides share one schema (out_cols + __op), so their union is
+    # a single keyed input
+    return keyed_exchange(base_t.union(delta_t), key, merge, n_buckets)

@@ -144,7 +144,7 @@ def cooccurrence_counts(mentions_ds, canon_map: dict, n_buckets: int | None = No
     each unordered canonical-entity pair.  ``mentions_ds`` needs columns
     (doc_id, text, label); ``canon_map`` is the pipeline's persisted
     canonicalization map (pipelines/kg.py stage 3)."""
-    from gliner_cpp_ray.stages.joins import add_bucket
+    from gliner_cpp_ray.stages.joins import bucketed_group_agg, keyed_exchange
     from gliner_cpp_ray.stages.sizing import default_buckets
 
     n_buckets = default_buckets(n_buckets)
@@ -153,16 +153,7 @@ def cooccurrence_counts(mentions_ds, canon_map: dict, n_buckets: int | None = No
         fn_kwargs={"canon_map": canon_map},
         batch_format="pyarrow",
     )
-    pairs = (
-        partial.map_batches(
-            lambda t: add_bucket(t, "doc_id", n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(pair_bucket_reduce, batch_format="pandas")
-    )
-    from gliner_cpp_ray.stages.joins import bucketed_group_agg
-
+    pairs = keyed_exchange(partial, "doc_id", pair_bucket_reduce, n_buckets)
     return bucketed_group_agg(
         pairs, ["canon_a", "canon_b"], "sum", val_col="n",
         out_col="n_docs", n_buckets=n_buckets,
@@ -186,7 +177,7 @@ def basket_pair_counts(ds, basket_col: str, item_col: str,
     """
     import pyarrow.compute as pc
 
-    from gliner_cpp_ray.stages.joins import add_group_bucket, bucketed_group_agg
+    from gliner_cpp_ray.stages.joins import bucketed_group_agg, keyed_exchange
     from gliner_cpp_ray.stages.sizing import default_buckets
 
     n_buckets = default_buckets(n_buckets)
@@ -199,15 +190,10 @@ def basket_pair_counts(ds, basket_col: str, item_col: str,
                 item_col: t.column(item_col).to_pandas(),
             }
         ).drop_duplicates()
-        return add_group_bucket(
-            pa.Table.from_pandas(df, preserve_index=False),
-            [basket_col], n_buckets,
-        )
+        return pa.Table.from_pandas(df, preserve_index=False)
 
     def expand(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__bucket").drop_duplicates(
-            [basket_col, item_col]
-        )
+        g = g.drop_duplicates([basket_col, item_col])
         if not len(g):
             return pd.DataFrame(
                 {
@@ -222,10 +208,9 @@ def basket_pair_counts(ds, basket_col: str, item_col: str,
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    pairs = (
-        ds.map_batches(distinct_partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(expand, batch_format="pandas")
+    pairs = keyed_exchange(
+        ds.map_batches(distinct_partial, batch_format="pyarrow"),
+        [basket_col], expand, n_buckets,
     )
     summed = bucketed_group_agg(
         pairs, [a_col, b_col], specs=[("sum", "n", "n")], n_buckets=n_buckets

@@ -372,7 +372,7 @@ def _lsh_candidates(sigs):
     density, never the ≈ docs×bands singleton rows — reach the driver,
     3) broadcast them, 4) semi-join the signature rows and pair-expand
     only the survivors (flood-capped, ``bucket_candidate_pairs``)."""
-    from gliner_cpp_ray.stages.joins import bucketed_group_agg
+    from gliner_cpp_ray.stages.joins import bucketed_group_agg, keyed_exchange
 
     hot = (
         bucketed_group_agg(
@@ -395,21 +395,10 @@ def _lsh_candidates(sigs):
     # density-bounded) ships once per worker through the object store;
     # an actor pool here paid 1-2 s of spin-up per query for state that
     # builds in microseconds (see SCALE.md "tasks vs actor pools")
-    from gliner_cpp_ray.stages.canonicalize import add_key_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
-    n_buckets = default_buckets(None)
-    return (
-        sigs.map_batches(_HotBucketFilter(hot_by_band), batch_format="pyarrow")
-        .map_batches(
-            lambda df: add_key_bucket(df, ["band_id", "band_key"], n_buckets),
-            batch_format="pandas",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: bucket_candidate_pairs(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
+    return keyed_exchange(
+        sigs.map_batches(_HotBucketFilter(hot_by_band), batch_format="pyarrow"),
+        ["band_id", "band_key"],
+        bucket_candidate_pairs,
     )
 
 
@@ -632,7 +621,7 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.5, n: int = 3,
     if cands is None:
         return ray.data.from_arrow(empty)
 
-    from gliner_cpp_ray.stages.joins import bucketed_group_agg
+    from gliner_cpp_ray.stages.joins import bucketed_group_agg, keyed_exchange
 
     pairs = (
         bucketed_group_agg(
@@ -654,23 +643,8 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.5, n: int = 3,
         _PairSetEmitter(membership, n=n, id_col=id_col, text_col=text_col),
         batch_format="pyarrow",
     )
-
-    from gliner_cpp_ray.stages.canonicalize import add_key_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
-    n_buckets = default_buckets(None)
-    return (
-        emitted.map_batches(
-            lambda df: add_key_bucket(df, ["a", "b"], n_buckets),
-            batch_format="pandas",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: _pair_bucket_jaccard(
-                g.drop(columns="__bucket"), threshold
-            ),
-            batch_format="pandas",
-        )
+    return keyed_exchange(
+        emitted, ["a", "b"], lambda g: _pair_bucket_jaccard(g, threshold)
     )
 
 
@@ -951,24 +925,13 @@ def simhash_near_dup_pairs(ds, max_hamming: int = 3, id_col: str = "doc_id",
             )
         return pa.concat_tables(parts)
 
-    from gliner_cpp_ray.stages.canonicalize import add_key_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
+    from gliner_cpp_ray.stages.joins import bucketed_group_agg, keyed_exchange
 
-    n_buckets = default_buckets(None)
-    pairs = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .map_batches(
-            lambda df: add_key_bucket(df, ["band", "key"], n_buckets),
-            batch_format="pandas",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: _simhash_bucket_pairs(g.drop(columns="__bucket"), max_hamming),
-            batch_format="pandas",
-        )
+    pairs = keyed_exchange(
+        ds.map_batches(explode, batch_format="pyarrow"),
+        ["band", "key"],
+        lambda g: _simhash_bucket_pairs(g, max_hamming),
     )
-    from gliner_cpp_ray.stages.joins import bucketed_group_agg
-
     return bucketed_group_agg(
         pairs, ["a", "b"], "count", out_col="__n"
     ).select_columns(["a", "b"])
@@ -1044,7 +1007,7 @@ def _ed_bucket_pairs(g: pd.DataFrame, d: int, n_buckets: int) -> pd.DataFrame:
     ~1 µs/pair).
 
     d>1 falls back to the exact DP per deduped candidate."""
-    bucket_id = int(g["__bucket"].iloc[0])
+    bucket_id = _key_buckets(g["key"].iloc[:1], n_buckets)[0]
     codes, _ = pd.factorize(g["key"], sort=False)
     sizes = np.bincount(codes)
     keep = sizes[codes] >= 2
@@ -1127,20 +1090,24 @@ def _canonical_bucket_pairs(a, b, pref, d: int, bucket_id: int,
     non-empty common-key set (FastSS), each key lives in exactly one
     bucket, so each pair is emitted exactly once globally — no
     downstream pair shuffle."""
-    from gliner_cpp_ray.stages.canonicalize import add_key_bucket
-
     if not len(a):
         return _ED_EMPTY.copy()
     kmin = [
         p + min(_deletion_keys(x, d) & _deletion_keys(y, d))
         for p, x, y in zip(pref, a, b)
     ]
-    buck = add_key_bucket(
-        pd.DataFrame({"key": kmin}), ["key"], n_buckets
-    )["__bucket"].to_numpy()
-    keep = buck == bucket_id
+    keep = _key_buckets(kmin, n_buckets) == bucket_id
     return pd.DataFrame({"a": pd.Series(a[keep], dtype="string"),
                          "b": pd.Series(b[keep], dtype="string")})
+
+
+def _key_buckets(keys, n_buckets: int) -> np.ndarray:
+    """The ``keyed_exchange`` bucket of each deletion key: ownership
+    checks must hash exactly as the exchange that placed the keys."""
+    from gliner_cpp_ray.stages.joins import add_group_bucket
+
+    t = pa.table({"key": pa.array(keys, pa.string())})
+    return add_group_bucket(t, ["key"], n_buckets).column("__bucket").to_numpy()
 
 
 def edit_distance_pairs(ds, col: str, d: int = 1,
@@ -1171,7 +1138,7 @@ def edit_distance_pairs(ds, col: str, d: int = 1,
     alphabet-sized in natural data; an adversarial corpus of one
     repeated value collapses to its distinct set first
     (``drop_duplicates`` per group input)."""
-    from gliner_cpp_ray.stages.canonicalize import add_key_bucket
+    from gliner_cpp_ray.stages.joins import keyed_exchange
     from gliner_cpp_ray.stages.sizing import default_buckets
 
     def explode(t: pa.Table) -> pa.Table:
@@ -1197,20 +1164,13 @@ def edit_distance_pairs(ds, col: str, d: int = 1,
             {"key": pa.array(keys, pa.string()), "s": pa.array(ss, pa.string())}
         )
 
-    n_buckets = default_buckets(None)
-    pairs = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .map_batches(
-            lambda df: add_key_bucket(df, ["key"], n_buckets),
-            batch_format="pandas",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: _ed_bucket_pairs(g, d, n_buckets),
-            batch_format="pandas",
-        )
+    n_buckets = default_buckets(None)  # the ownership check needs it
+    return keyed_exchange(
+        ds.map_batches(explode, batch_format="pyarrow"),
+        ["key"],
+        lambda g: _ed_bucket_pairs(g, d, n_buckets),
+        n_buckets,
     )
-    return pairs
 
 
 def group_set_overlap(ds, group_col: str, key_col: str,
@@ -1229,7 +1189,7 @@ def group_set_overlap(ds, group_col: str, key_col: str,
     groups; set sizes are a |groups|-bounded aggregate carried into the
     final map as a plain dict (groups are feeds/hosts/shards —
     thousands, never corpus-proportional)."""
-    from gliner_cpp_ray.stages.joins import add_bucket, bucketed_group_agg
+    from gliner_cpp_ray.stages.joins import bucketed_group_agg, keyed_exchange
 
     out_schema = pa.schema(
         [
@@ -1282,11 +1242,7 @@ def group_set_overlap(ds, group_col: str, key_col: str,
         )
 
     inter = bucketed_group_agg(
-        distinct_pairs.map_batches(
-            lambda t: add_bucket(t, key_col, n_buckets), batch_format="pyarrow"
-        )
-        .groupby("__bucket")
-        .map_groups(pairs_bucket, batch_format="pandas"),
+        keyed_exchange(distinct_pairs, key_col, pairs_bucket, n_buckets),
         ["src_a", "src_b"], "sum", val_col="n", out_col="n_common",
     )
 
@@ -1382,11 +1338,9 @@ def segment_dedup_stats(ds, seg_len: int = 8, text_col: str = "text",
     Returns Dataset (doc_id, n_segments, n_dup_segments, dup_ppm).
     Documents with zero tokens have zero segments and are absent, on
     both engines by construction."""
-    from gliner_cpp_ray.stages.joins import add_bucket, bucketed_group_agg
+    from gliner_cpp_ray.stages.joins import bucketed_group_agg, keyed_exchange
     from gliner_cpp_ray.stages.retrieval import _tokens
-    from gliner_cpp_ray.stages.sizing import default_buckets
 
-    n_buckets = default_buckets(n_buckets)
     pair_schema = pa.schema(
         [(id_col, pa.int64()), ("h", pa.int64()), ("n_inst", pa.int64())]
     )
@@ -1449,13 +1403,7 @@ def segment_dedup_stats(ds, seg_len: int = 8, text_col: str = "text",
         )
 
     pair = ds.map_batches(pairs, batch_format="pyarrow")
-    flagged = (
-        pair.map_batches(
-            lambda t: add_bucket(t, "h", n_buckets), batch_format="pyarrow"
-        )
-        .groupby("__bucket")
-        .map_groups(flag, batch_format="pandas")
-    )
+    flagged = keyed_exchange(pair, "h", flag, n_buckets)
     agg = bucketed_group_agg(
         flagged,
         id_col,

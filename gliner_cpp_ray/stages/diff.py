@@ -34,7 +34,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from gliner_cpp_ray.stages.joins import add_bucket
+from gliner_cpp_ray.stages.joins import keyed_exchange
 from gliner_cpp_ray.stages.sizing import default_buckets
 
 
@@ -50,10 +50,9 @@ def snapshot_diff(old, new, key: str, val_cols: list[str],
 
     def tag(side: int):
         def fn(t: pa.Table) -> pa.Table:
-            t = t.select(cols).append_column(
+            return t.select(cols).append_column(
                 "__side", pa.array(np.full(t.num_rows, side, np.int8))
             )
-            return add_bucket(t, key, n_buckets)
 
         return fn
 
@@ -88,9 +87,8 @@ def snapshot_diff(old, new, key: str, val_cols: list[str],
 
     lt = old.map_batches(tag(0), batch_format="pyarrow")
     rt = new.map_batches(tag(1), batch_format="pyarrow")
-    return (
-        lt.union(rt)
-        .repartition(max(n_buckets, 8))  # coalesce slivers pre-shuffle
-        .groupby("__bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
+    # both sides share one schema (cols + __side): a single keyed input
+    return keyed_exchange(
+        lt.union(rt).repartition(max(n_buckets, 8)),  # coalesce slivers
+        key, reduce_bucket, n_buckets,
     )

@@ -145,10 +145,8 @@ def grouped_pareto_frontier(ds, group_col: str, crit_cols: list[str],
     moves only frontier candidates, and a whole-bucket reduce re-runs
     the kernel per group.  Movement O(tasks × Σ_g |local frontier_g|),
     never corpus-scaled."""
-    from gliner_cpp_ray.stages.joins import add_group_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
-    n_buckets = default_buckets(n_buckets)
     out_cols = [group_col, *carry_cols, *crit_cols]
 
     def shrink(df: pd.DataFrame) -> pd.DataFrame:
@@ -167,15 +165,7 @@ def grouped_pareto_frontier(ds, group_col: str, crit_cols: list[str],
             shrink(t.to_pandas()), preserve_index=False
         )
 
-    return (
-        ds.map_batches(combiner, batch_format="pyarrow")
-        .map_batches(
-            lambda t: add_group_bucket(t, [group_col], n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: shrink(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
+    return keyed_exchange(
+        ds.map_batches(combiner, batch_format="pyarrow"),
+        [group_col], shrink, n_buckets,
     )

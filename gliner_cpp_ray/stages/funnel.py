@@ -105,25 +105,21 @@ def funnel_within(ds, steps: list[str], window_s: int,
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from gliner_cpp_ray.stages.joins import add_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
-    n_buckets = default_buckets(n_buckets)
     step_list = list(steps)
 
     def prep(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t.column(type_col), pa.array(step_list)))
-        return add_bucket(t, user_col, n_buckets)
+        return t.filter(pc.is_in(t.column(type_col), pa.array(step_list)))
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return funnel_step_times(
             g, step_list, window_s, user_col, ts_col, type_col
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
+    return keyed_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        user_col, reduce_bucket, n_buckets,
     )
 
 
@@ -139,11 +135,8 @@ def weekly_retention(ds, user_col: str = "user_id", ts_col: str = "ts",
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from gliner_cpp_ray.stages.joins import add_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
+    from gliner_cpp_ray.stages.joins import keyed_exchange
     from ray.data.aggregate import Sum
-
-    n_buckets = default_buckets(n_buckets)
 
     def prep(t: pa.Table) -> pa.Table:
         # normalize to µs first: a timestamp[ns] input (e.g. pandas
@@ -156,8 +149,7 @@ def weekly_retention(ds, user_col: str = "user_id", ts_col: str = "ts",
             }
         )
         # per-batch distinct: combiner before the shuffle
-        week = week.group_by([user_col, "week"]).aggregate([])
-        return add_bucket(week, user_col, n_buckets)
+        return week.group_by([user_col, "week"]).aggregate([])
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates([user_col, "week"])
@@ -178,13 +170,9 @@ def weekly_retention(ds, user_col: str = "user_id", ts_col: str = "ts",
         out["n_users_part"] = out["n_users_part"].astype(np.int64)
         return out
 
-    grid = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
+    grid = keyed_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        user_col, reduce_bucket, n_buckets,
     )
     return (
         grid.groupby(["cohort_week", "week_offset"])

@@ -329,9 +329,9 @@ def label_prop_communities(edges_ds, nodes_ds, n_rounds: int = 3,
     import pandas as pd
 
     from gliner_cpp_ray.stages.joins import (
-        add_group_bucket,
         bucketed_group_agg,
         bucketed_hash_join,
+        keyed_exchange,
     )
     from gliner_cpp_ray.stages.sizing import default_buckets
 
@@ -404,17 +404,9 @@ def label_prop_communities(edges_ds, nodes_ds, n_rounds: int = 3,
             left_schema=pa.schema([("node", pa.int64()), ("tgt", pa.int64())]),
             right_schema=lab_schema,
         )
-        picks = (
-            nb_labels.map_batches(partial_counts, batch_format="pyarrow")
-            .map_batches(
-                lambda t: add_group_bucket(t, ["tgt"], nb),
-                batch_format="pyarrow",
-            )
-            .groupby("__bucket")
-            .map_groups(
-                lambda g: pick_bucket(g.drop(columns="__bucket")),
-                batch_format="pandas",
-            )
+        picks = keyed_exchange(
+            nb_labels.map_batches(partial_counts, batch_format="pyarrow"),
+            ["tgt"], pick_bucket, nb,
         )
         labels = bucketed_hash_join(
             labels, picks, on="node", how="left", n_buckets=n_buckets,

@@ -1,5 +1,13 @@
-"""Join strategies.
+"""Key-hash exchanges and join strategies.
 
+* ``keyed_exchange`` — THE single-input exchange: bucket rows on their
+  key hash, sort-based ``groupby("__bucket")``, one vectorized reduce
+  per whole bucket.  Grouped aggregates, per-key window/sequence
+  reduces and the KG edge reduce all run on it (``bucketed_group_agg``
+  and ``banded_self_pairs`` are thin clients).
+* ``add_group_bucket`` — THE bucket hash, shared by ``keyed_exchange``
+  and by both sides of every two-input join below, so equal keys meet
+  in one bucket whichever operator put them there.
 * ``broadcast_lookup_join`` — small side broadcast as a dict; vectorized
   pandas map inside ``map_batches``.  No shuffle.  THE default when one
   side fits in memory (dimension tables, vocab, alias dicts).
@@ -35,32 +43,14 @@ from gliner_cpp_ray.stages.sizing import default_buckets
 _KNUTH = np.uint64(2654435761)
 
 
-def add_bucket(batch: pa.Table, key: str, n_buckets: int,
-               out_col: str = "__bucket") -> pa.Table:
-    """Deterministic hash bucket for a join key.
-
-    Integer keys: wrapping uint64 multiply (overflow-safe, stable
-    across processes).  Any other type (string, date, …): vectorized
-    ``pd.util.hash_pandas_object`` (fixed internal hash key — the same
-    process-stable hash the KG edge reduce buckets with)."""
-    col = batch.column(key)
-    if pa.types.is_integer(col.type):
-        v = col.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        h = v.astype(np.uint64) * _KNUTH >> np.uint64(16)
-    else:
-        h = pd.util.hash_pandas_object(
-            col.to_pandas(), index=False
-        ).to_numpy()
-    bucket = (h % np.uint64(n_buckets)).astype(np.int64)
-    return batch.append_column(out_col, pa.array(bucket))
-
-
-
 def add_group_bucket(batch: pa.Table, keys: list[str], n_buckets: int,
                      out_col: str = "__bucket") -> pa.Table:
-    """``add_bucket`` over a key COMBINATION: all-integer key tuples mix
-    with wrapping multiply-add (process-stable), anything else hashes
-    the key-column frame via ``pd.util.hash_pandas_object``."""
+    """THE bucket hash of every key-hash exchange: all-integer key
+    tuples mix with wrapping multiply-add (a single integer key ``k``
+    lands in ``(k * 2654435761 >> 16) % n_buckets``); anything else
+    hashes the key-column frame via ``pd.util.hash_pandas_object``.
+    Both are process-stable (no ``PYTHONHASHSEED`` dependence), so a
+    reduce may recompute bucket ownership with this same function."""
     cols = [batch.column(k) for k in keys]
     if all(pa.types.is_integer(c.type) for c in cols):
         h = np.zeros(batch.num_rows, dtype=np.uint64)
@@ -76,6 +66,36 @@ def add_group_bucket(batch: pa.Table, keys: list[str], n_buckets: int,
         ).to_numpy()
     bucket = (h % np.uint64(n_buckets)).astype(np.int64)
     return batch.append_column(out_col, pa.array(bucket))
+
+
+def keyed_exchange(ds, keys, reduce_fn, n_buckets: int | None = None):
+    """THE single-input key-hash exchange: bucket every row on
+    ``add_group_bucket(keys)``, shuffle with the sort-based
+    ``groupby("__bucket")`` and run ``reduce_fn`` once per WHOLE bucket
+    (a pandas frame holding every row of every key in it, ``__bucket``
+    already dropped).  ``reduce_fn`` returns a pandas frame or an Arrow
+    table; it must be key-local — its output for a key may depend only
+    on that key's rows, never on which other keys share the bucket.
+
+    Bucketing (not ``groupby(keys)``) turns one Python ``map_groups``
+    call per distinct key into ``n_buckets`` vectorized reduces.  The
+    sort-based groupby stays the one strategy: Ray's hash-shuffle
+    ``repartition(keys=)`` measured slower at these sizes (ROADMAP
+    item 5).  Callers that coalesce first ``repartition`` the input
+    themselves."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    n_buckets = default_buckets(n_buckets)
+    return (
+        ds.map_batches(
+            lambda t: add_group_bucket(t, keys, n_buckets),
+            batch_format="pyarrow",
+        )
+        .groupby("__bucket")
+        .map_groups(
+            lambda g: reduce_fn(g.drop(columns="__bucket")),
+            batch_format="pandas",
+        )
+    )
 
 
 def bucketed_group_agg(ds, keys, agg: str | None = None,
@@ -97,13 +117,8 @@ def bucketed_group_agg(ds, keys, agg: str | None = None,
     keys = [keys] if isinstance(keys, str) else list(keys)
     if specs is None:
         specs = [(agg, val_col, out_col)]
-    n_buckets = default_buckets(n_buckets)
-
-    def prep(t: pa.Table) -> pa.Table:
-        return add_group_bucket(t, keys, n_buckets)
 
     def reduce(g: pd.DataFrame) -> pa.Table:
-        g = g.drop(columns="__bucket")
         grp = g.groupby(keys, sort=False)
         outs = []
         for a, v, o in specs:
@@ -112,11 +127,7 @@ def bucketed_group_agg(ds, keys, agg: str | None = None,
         out = pd.concat(outs, axis=1).reset_index()
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(reduce, batch_format="pandas")
-    )
+    return keyed_exchange(ds, keys, reduce, n_buckets)
 
 
 def _structural_pad(n: int, typ: pa.DataType) -> pa.Array:
@@ -214,7 +225,7 @@ def bucketed_hash_join(left, right, on: str, n_buckets: int | None = None,
             if salt > 1 and side == 1:
                 # replicate the build side into every sub-bucket
                 t = pa.concat_tables([t] * salt)
-            t = add_bucket(t, on, n_buckets)
+            t = add_group_bucket(t, [on], n_buckets)
             n = t.num_rows
             bucket = t.column("__bucket").to_numpy(zero_copy_only=False)
             if salt > 1:
@@ -309,7 +320,7 @@ def _pad_union_by_bucket(left, right, key: str, n_buckets: int | None,
                          .astype(np.int64)),
             )
         else:
-            t = add_bucket(t, key, n_buckets)
+            t = add_group_bucket(t, [key], n_buckets)
         n = t.num_rows
         arrays, names = [], []
         for name, typ in types:
@@ -489,7 +500,7 @@ _SPLITMIX_2 = np.uint64(0x94D049BB133111EB)
 def _key_hash_u64(col) -> np.ndarray:
     """Stable full-width u64 hash of a key column: splitmix64 finalizer
     for integers (public-domain mixing constants), the process-stable
-    pandas hash otherwise — same family ``add_bucket`` uses."""
+    pandas hash otherwise — same family ``add_group_bucket`` uses."""
     with np.errstate(over="ignore"):
         if pa.types.is_integer(col.type):
             z = col.cast(pa.int64()).to_numpy(zero_copy_only=False).astype(
@@ -694,7 +705,7 @@ def bucketed_anti_join(left, right_keys, on: str,
 
     def pad(side: int):
         def fn(t: pa.Table) -> pa.Table:
-            t = add_bucket(t, on, n_buckets)
+            t = add_group_bucket(t, [on], n_buckets)
             n = t.num_rows
             arrays, names = [], []
             for name in lcols:
@@ -756,11 +767,8 @@ def banded_self_pairs(ds, key_cols: list[str], ts_col: str, id_col: str,
     of OOMing when a hot key's quadratic blowup exceeds it (remedies:
     smaller band, or pre-aggregate the hot key).
     """
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
     if band < 0:
         raise ValueError("band must be >= 0")
-    n_buckets = default_buckets(n_buckets)
     out_1, out_2 = f"{id_col}_1", f"{id_col}_2"
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -810,17 +818,7 @@ def banded_self_pairs(ds, key_cols: list[str], ts_col: str, id_col: str,
         right = np.arange(total) - np.repeat(offs, n_i) + left + 1
         return pd.DataFrame({out_1: ids[left], out_2: ids[right]})
 
-    return (
-        ds.map_batches(
-            lambda t: add_group_bucket(t, key_cols, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    return keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
 
 
 def join_skew_report(left, right, left_key: str, right_key: str,
@@ -967,7 +965,6 @@ def range_merge_join(left, right, on: str, n_parts: int | None = None,
     one full pass over the left plan (``Dataset.count()`` on a
     read→map chain executes the chain)."""
     from gliner_cpp_ray.stages.sketches import exact_multi_order_statistic
-    from gliner_cpp_ray.stages.sizing import default_buckets
 
     n_parts = default_buckets(n_parts)
     n = left.count() if n_rows is None else int(n_rows)

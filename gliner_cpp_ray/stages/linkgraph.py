@@ -36,7 +36,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from gliner_cpp_ray.stages.joins import bucketed_group_agg, bucketed_hash_join
+from gliner_cpp_ray.stages.joins import (
+    bucketed_group_agg, bucketed_hash_join, keyed_exchange,
+)
 
 # one pass, one pattern: only hrefs that point at a crawled page match
 # (nav/"about" links fall out for free).  \d+ (not a fixed width): the
@@ -609,7 +611,6 @@ def triangle_counts(edges_ds, n_buckets: int | None = None):
     import pandas as pd
 
     from ray.data.aggregate import Count
-    from gliner_cpp_ray.stages.joins import add_bucket, bucketed_hash_join
     from gliner_cpp_ray.stages.sizing import default_buckets
 
     und_schema = _UND_SCHEMA
@@ -701,13 +702,7 @@ def triangle_counts(edges_ds, n_buckets: int | None = None):
         ].to_numpy(np.int64)
         return pd.DataFrame({"a": m["src"].to_numpy(np.int64), "k": k})
 
-    wedges = (
-        oriented.map_batches(
-            lambda t: add_bucket(t, "src", n_buckets), batch_format="pyarrow"
-        )
-        .groupby("__bucket")
-        .map_groups(wedge_bucket, batch_format="pandas")
-    )
+    wedges = keyed_exchange(oriented, "src", wedge_bucket, n_buckets)
 
     und_keys = und.map_batches(
         lambda t: pa.table(
@@ -856,7 +851,6 @@ def cocitation_topk(edges_ds, k: int = 3, deg_cap: int = 64,
     ``triangle_counts``)."""
     import pandas as pd
 
-    from gliner_cpp_ray.stages.joins import add_bucket
     from gliner_cpp_ray.stages.sizing import default_buckets
     from gliner_cpp_ray.stages.skew import grouped_top_k
 
@@ -906,10 +900,7 @@ def cocitation_topk(edges_ds, k: int = 3, deg_cap: int = 64,
         return pd.DataFrame({"k": u, "n": c.astype(np.int64)})
 
     pair_counts = bucketed_group_agg(
-        el.map_batches(lambda t: add_bucket(t, "src", n_buckets),
-                       batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(pairs_bucket, batch_format="pandas"),
+        keyed_exchange(el, "src", pairs_bucket, n_buckets),
         "k", "sum", val_col="n", out_col="n_common", n_buckets=n_buckets,
     )
 

@@ -362,12 +362,10 @@ def assemble_key_histories(ds, key_cols: list[str], ts_col: str,
     survivors per key.  The join output is bounded by head_k short
     values per key, so the per-key work (unlike the corpus) is O(1).
     """
-    from gliner_cpp_ray.stages.joins import add_group_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
     if head_k < 1:
         raise ValueError("head_k must be >= 1")
-    n_buckets = default_buckets(None)
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -396,17 +394,7 @@ def assemble_key_histories(ds, key_cols: list[str], ts_col: str,
         out["n_events_used"] = out["n_events_used"].astype(np.int64)
         return out
 
-    return (
-        ds.map_batches(
-            lambda t: add_group_bucket(t, key_cols, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    return keyed_exchange(ds, key_cols, reduce_bucket)
 
 
 def grouped_order_rank(ds, group_col: str, val_col: str, id_col: str,
@@ -558,13 +546,11 @@ def subsequence_triple_support(ds, key_cols: list[str], ts_col: str,
     """
     from ray.data.aggregate import Sum
 
-    from gliner_cpp_ray.stages.joins import add_group_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
     if alphabet_size < 1 or alphabet_size > 62:
         raise ValueError("alphabet_size must be in [1, 62]")
     A = alphabet_size
-    n_buckets = default_buckets(None)
 
     def reduce_bucket(g: pd.DataFrame) -> pa.Table:
         supp = np.zeros((A, A, A), np.int64)
@@ -616,15 +602,7 @@ def subsequence_triple_support(ds, key_cols: list[str], ts_col: str,
         )
 
     return (
-        ds.map_batches(
-            lambda t: add_group_bucket(t, key_cols, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
+        keyed_exchange(ds, key_cols, reduce_bucket)
         .groupby(["c1", "c2", "c3"])
         .aggregate(Sum("n_keys", alias_name="n_keys"))
     )

@@ -328,8 +328,9 @@ def term_postings(ds, id_col: str = "doc_id", text_col: str = "text",
     (unbounded) postings would be this same plan minus the combiner,
     written sharded — bounded heads keep the driver-checkable contract
     exact."""
-    from gliner_cpp_ray.stages.canonicalize import add_key_bucket
-    from gliner_cpp_ray.stages.joins import bucketed_group_agg, bucketed_hash_join
+    from gliner_cpp_ray.stages.joins import (
+        bucketed_group_agg, bucketed_hash_join, keyed_exchange,
+    )
     from gliner_cpp_ray.stages.sizing import default_buckets
     from gliner_cpp_ray.stages.skew import grouped_top_k
     from gliner_cpp_ray.stages.text_analysis import doc_term_occurrences_partial
@@ -371,17 +372,7 @@ def term_postings(ds, id_col: str = "doc_id", text_col: str = "text",
             }
         )
 
-    posting = (
-        heads.map_batches(
-            lambda df: add_key_bucket(df, ["term"], n_buckets),
-            batch_format="pandas",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: assemble(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    posting = keyed_exchange(heads, ["term"], assemble, n_buckets)
 
     return bucketed_hash_join(
         df_tbl, posting, on="term", n_buckets=n_buckets,

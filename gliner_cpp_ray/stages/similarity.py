@@ -341,24 +341,13 @@ def lsh_near_dup_pairs(ds, dim: int, threshold: float = 0.95, bits: int = 32,
                         id_col=id_col, col=col),
         batch_format="pyarrow",
     )
-    from gliner_cpp_ray.stages.canonicalize import add_key_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
+    from gliner_cpp_ray.stages.joins import bucketed_group_agg, keyed_exchange
 
-    n_buckets = default_buckets(None)
-    pairs = (
-        exploded.map_batches(
-            lambda df: add_key_bucket(df, ["band", "key"], n_buckets),
-            batch_format="pandas",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: _bucket_pairs(g.drop(columns="__bucket"),
-                                    threshold, id_col, col),
-            batch_format="pandas",
-        )
+    pairs = keyed_exchange(
+        exploded, ["band", "key"],
+        lambda g: _bucket_pairs(g, threshold, id_col, col),
     )
     # a pair found in several bands must count once
-    from gliner_cpp_ray.stages.joins import bucketed_group_agg
 
     return bucketed_group_agg(
         pairs, ["a", "b"], "count", out_col="__n"

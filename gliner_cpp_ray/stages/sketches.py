@@ -203,10 +203,8 @@ def grouped_histogram_quantile_bins(ds, group_col: str, col: str, lo: float,
     then one vectorized pandas reduce per bucket — cumsum + threshold
     scan across all of the bucket's groups at once, no per-group Python.
     Nothing reaches the driver; output is groups × |q_pcts| rows."""
-    from gliner_cpp_ray.stages.canonicalize import add_key_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
-    n_buckets = default_buckets(n_buckets)
     qs = sorted(int(q) for q in q_pcts)
 
     partial = ds.map_batches(
@@ -245,17 +243,7 @@ def grouped_histogram_quantile_bins(ds, group_col: str, col: str, lo: float,
             )
         return pd.concat(frames, ignore_index=True)
 
-    return (
-        partial.map_batches(
-            lambda df: add_key_bucket(df, [group_col], n_buckets),
-            batch_format="pandas",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    return keyed_exchange(partial, [group_col], reduce, n_buckets)
 
 
 class _AboveBinFilter:
@@ -455,7 +443,7 @@ def grouped_kmv_distinct(ds, group_col: str, col: str,
     bottom-k estimator inside whole-bucket vectorized reduces.  Unlike
     the global ``kmv_distinct_count``, the driver never sees a hash.
     Returns a Dataset of (group_col, k, estimate), both int64."""
-    from gliner_cpp_ray.stages.canonicalize import add_key_bucket
+    from gliner_cpp_ray.stages.joins import keyed_exchange
     from gliner_cpp_ray.stages.sizing import default_buckets
 
     if n_buckets is None:
@@ -473,17 +461,7 @@ def grouped_kmv_distinct(ds, group_col: str, col: str,
         out["estimate"] = out["estimate"].astype("int64")
         return out[[group_col, "k", "estimate"]]
 
-    return (
-        partial.map_batches(
-            lambda df: add_key_bucket(df, ["g"], n_buckets),
-            batch_format="pandas",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    return keyed_exchange(partial, ["g"], reduce, n_buckets)
 
 
 def kmv_overlap(ds_a, ds_b, col_a: str, col_b: str,
@@ -823,10 +801,7 @@ def grouped_exact_median(ds, key_cols: list[str], val_col: str,
     that one never moves the data but handles ONE global rank; this one
     shuffles the value column once and answers every group.
     """
-    from gliner_cpp_ray.stages.joins import add_group_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
-    n_buckets = default_buckets(n_buckets)
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -849,17 +824,7 @@ def grouped_exact_median(ds, key_cols: list[str], val_col: str,
         out[out_col] = g[val_col].to_numpy()[med_pos]
         return out
 
-    return (
-        ds.map_batches(
-            lambda t: add_group_bucket(t, key_cols, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    return keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
 
 
 def grouped_mad(ds, key_cols: list[str], val_col: str,

@@ -126,7 +126,7 @@ def grouped_top_k(ds, group_col: str, order_col: str, id_col: str, k: int,
     tasks × groups × k rows regardless of corpus size; the shuffle
     groups by a hash bucket of the group key (whole groups co-locate)
     and one vectorized pandas pass takes the final k per group."""
-    from gliner_cpp_ray.stages.canonicalize import add_key_bucket
+    from gliner_cpp_ray.stages.joins import keyed_exchange
     from gliner_cpp_ray.stages.sizing import default_buckets
 
     n_buckets = default_buckets(n_buckets)
@@ -144,19 +144,12 @@ def grouped_top_k(ds, group_col: str, order_col: str, id_col: str, k: int,
         return pa.Table.from_pandas(top(t.to_pandas()), preserve_index=False)
 
     def take_k(g: pd.DataFrame) -> pa.Table:
-        return pa.Table.from_pandas(
-            top(g).drop(columns="__bucket"), preserve_index=False
-        )
+        return pa.Table.from_pandas(top(g), preserve_index=False)
 
-    return (
+    return keyed_exchange(
         ds.map_batches(combiner, batch_format="pyarrow")
-        .repartition(max(n_buckets, 8))
-        .map_batches(
-            lambda df: add_key_bucket(df, [group_col], n_buckets),
-            batch_format="pandas",
-        )
-        .groupby("__bucket")
-        .map_groups(take_k, batch_format="pandas")
+        .repartition(max(n_buckets, 8)),
+        group_col, take_k, n_buckets,
     )
 
 
@@ -221,22 +214,17 @@ def stratified_sample(ds, stratum_col: str, id_col: str, n_per_stratum: int,
             g.sort_values([stratum_col, "__h", id_col])
             .groupby(stratum_col, sort=False)
             .head(n_per_stratum)
-            .drop(columns=["__h", "__bucket"])
+            .drop(columns="__h")
         )
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    from gliner_cpp_ray.stages.canonicalize import add_key_bucket
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
-    return (
+    return keyed_exchange(
         ds.map_batches(add_rank_key, batch_format="pyarrow")
         .map_batches(combiner, batch_format="pyarrow")
-        .repartition(max(n_buckets, 8))
-        .map_batches(
-            lambda df: add_key_bucket(df, [stratum_col], n_buckets),
-            batch_format="pandas",
-        )
-        .groupby("__bucket")
-        .map_groups(take_n, batch_format="pandas")
+        .repartition(max(n_buckets, 8)),
+        stratum_col, take_n, n_buckets,
     )
 
 
@@ -257,12 +245,10 @@ def budget_capped_head(ds, key_cols: list[str], order_cols: list[str],
     ordinals AND per-run budgets from run lengths in a single
     vectorized pass — no per-key frames, no second join.
     """
-    from gliner_cpp_ray.stages.joins import add_group_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
     if den < 1 or num < 0 or add < 0:
         raise ValueError("need den >= 1, num >= 0, add >= 0")
-    n_buckets = default_buckets(n_buckets)
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -293,14 +279,4 @@ def budget_capped_head(ds, key_cols: list[str], order_cols: list[str],
         out["budget"] = budget[keep]
         return out
 
-    return (
-        ds.map_batches(
-            lambda t: add_group_bucket(t, key_cols, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    return keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)

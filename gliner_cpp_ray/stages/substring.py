@@ -119,10 +119,7 @@ def repeated_kgram_stats(docs_ds, k: int = 24, sample_mod: int = 1,
     See the module docstring for the three passes and scale shape."""
     import ray
 
-    from gliner_cpp_ray.stages.joins import add_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
-    n_buckets = default_buckets(None)
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
     def emit_hashes(t: pa.Table) -> pa.Table:
         ids = t.column(id_col).to_numpy()
@@ -133,9 +130,7 @@ def repeated_kgram_stats(docs_ds, k: int = 24, sample_mod: int = 1,
         # one doc ships once, and (h, doc) is then globally distinct
         # because a doc lives entirely in one batch
         df = df.drop_duplicates()
-        return add_bucket(
-            pa.Table.from_pandas(df, preserve_index=False), "h", n_buckets
-        )
+        return pa.Table.from_pandas(df, preserve_index=False)
 
     pairs = docs_ds.select_columns([id_col, text_col]).map_batches(
         emit_hashes, batch_format="pyarrow"
@@ -153,14 +148,7 @@ def repeated_kgram_stats(docs_ds, k: int = 24, sample_mod: int = 1,
 
     # dup set: bounded by cross-doc duplication density (documents that
     # share no text contribute nothing) — broadcast once via ray.put
-    dup = (
-        pairs.groupby("__bucket")
-        .map_groups(
-            lambda g: dup_keys(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
+    dup = keyed_exchange(pairs, "h", dup_keys).to_pandas()
     dup_sorted = ray.put(np.sort(dup["h"].to_numpy(dtype=np.int64)))
 
     def count_dups(t: pa.Table) -> pa.Table:

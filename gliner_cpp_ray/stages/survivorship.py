@@ -54,7 +54,7 @@ def golden_records(records_ds, pairs_ds, key_col: str, match_col: str,
     column types either way (see bucketed_hash_join).
     """
     from gliner_cpp_ray.stages.graph import cc_label_propagation
-    from gliner_cpp_ray.stages.joins import add_bucket, bucketed_hash_join
+    from gliner_cpp_ray.stages.joins import bucketed_hash_join, keyed_exchange
     from gliner_cpp_ray.stages.sizing import default_buckets
 
     # consumed twice (match lookup + final label join): materialize
@@ -141,13 +141,9 @@ def golden_records(records_ds, pairs_ds, key_col: str, match_col: str,
         cl = pc.coalesce(
             t.column("__label").cast(pa.int64()), t.column(key_col)
         )
-        t = t.drop_columns(["__label"]).append_column("cluster_id", cl)
-        return add_bucket(t, "cluster_id", n_buckets_out)
-
-    bucketed = labeled.map_batches(cluster_of, batch_format="pyarrow")
+        return t.drop_columns(["__label"]).append_column("cluster_id", cl)
 
     def survive(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__bucket")
         grp = g.groupby("cluster_id", sort=False)
         outs = [grp.size().rename("n_members").astype(np.int64)]
         for c in take_min:
@@ -156,8 +152,9 @@ def golden_records(records_ds, pairs_ds, key_col: str, match_col: str,
             outs.append(grp[c].max().rename(f"max_{c}"))
         return pd.concat(outs, axis=1).reset_index()
 
-    return bucketed.groupby("__bucket").map_groups(
-        survive, batch_format="pandas"
+    return keyed_exchange(
+        labeled.map_batches(cluster_of, batch_format="pyarrow"),
+        "cluster_id", survive, n_buckets_out,
     )
 
 
@@ -167,11 +164,8 @@ def _block_local_cc(pairs_ds, a_col: str, b_col: str, block_col: str,
     endpoints share ``block_col``): one block-hash exchange, per-bucket
     path-halving union-find (state/union_find.py — same min-root
     contract as ``cc_label_propagation``).  -> Dataset(node, label)."""
-    from gliner_cpp_ray.stages.joins import add_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
+    from gliner_cpp_ray.stages.joins import keyed_exchange
     from gliner_cpp_ray.state.union_find import connected_components
-
-    n_buckets = default_buckets(n_buckets)
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         comp = connected_components(
@@ -184,14 +178,4 @@ def _block_local_cc(pairs_ds, a_col: str, b_col: str, block_col: str,
             }
         )
 
-    return (
-        pairs_ds.map_batches(
-            lambda t: add_bucket(t, block_col, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    return keyed_exchange(pairs_ds, block_col, reduce_bucket, n_buckets)

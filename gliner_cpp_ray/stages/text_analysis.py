@@ -423,11 +423,8 @@ def top_terms_per_group(ds, group_col: str = "lang", text_col: str = "text",
     (group, term) sums exact counts with a whole-bucket vectorized
     reduce; ``grouped_top_k`` then bounds the second shuffle at
     tasks × groups × k.  Raw tokens never cross the wire."""
-    from gliner_cpp_ray.stages.canonicalize import add_key_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
+    from gliner_cpp_ray.stages.joins import keyed_exchange
     from gliner_cpp_ray.stages.skew import grouped_top_k
-
-    n_buckets = default_buckets(None)
 
     def reduce_bucket(bdf: pd.DataFrame) -> pd.DataFrame:
         out = (
@@ -438,20 +435,12 @@ def top_terms_per_group(ds, group_col: str = "lang", text_col: str = "text",
         out["n"] = out["n"].astype("int64")
         return out
 
-    counts = (
+    counts = keyed_exchange(
         ds.map_batches(
             lambda t: grouped_term_counts_partial(t, group_col, text_col),
             batch_format="pyarrow",
-        )
-        .map_batches(
-            lambda df: add_key_bucket(df, [group_col, "term"], n_buckets),
-            batch_format="pandas",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
+        ),
+        [group_col, "term"], reduce_bucket,
     )
     return grouped_top_k(counts, group_col, "n", "term", k)
 
@@ -545,12 +534,8 @@ def pmi_collocations(ds, k: int = 20, min_count: int = 5,
     per batch; lower PMI_SCALE for corpora past ~1e5 · 1e8 tokens."""
     import pyarrow.compute as pc
 
-    from gliner_cpp_ray.stages.canonicalize import add_key_bucket
-    from gliner_cpp_ray.stages.joins import bucketed_hash_join
+    from gliner_cpp_ray.stages.joins import bucketed_hash_join, keyed_exchange
     from gliner_cpp_ray.stages.retrieval import _ranked_topk
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
-    n_buckets = default_buckets(None)
 
     def reduce_counts(g):
         return g.groupby(["kind", "w1", "w2"], sort=False,
@@ -558,20 +543,11 @@ def pmi_collocations(ds, k: int = 20, min_count: int = 5,
 
     # bucket-hash + whole-bucket vectorized reduce instead of a
     # three-string-column groupby aggregate (measured 2.7x at sf0.1)
-    counts = (
+    counts = keyed_exchange(
         ds.map_batches(lambda t: _colloc_partial(t, text_col),
-                       batch_format="pyarrow")
-        .map_batches(
-            lambda df: add_key_bucket(df, ["kind", "w1", "w2"], n_buckets),
-            batch_format="pandas",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_counts(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-        .materialize()  # consumed three times below (uni, N, bigrams)
-    )
+                       batch_format="pyarrow"),
+        ["kind", "w1", "w2"], reduce_counts,
+    ).materialize()  # consumed three times below (uni, N, bigrams)
     uni = counts.map_batches(
         lambda t: t.filter(pc.equal(t.column("kind"), 0)).select(["w1", "n"]),
         batch_format="pyarrow",

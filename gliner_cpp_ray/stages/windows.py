@@ -104,10 +104,7 @@ def session_counts(ds, key_col: str = "user_id", ts_col: str = "ts",
     the gap exceeds ``gap_s``, then a C-level groupby-sum per key.  At
     millions of users this does no per-key Python; cost is
     O(bucket log bucket)."""
-    from gliner_cpp_ray.stages.joins import add_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
-    n_buckets = default_buckets(n_buckets)
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col], kind="stable")
@@ -130,14 +127,7 @@ def session_counts(ds, key_col: str = "user_id", ts_col: str = "ts",
         out["n_sessions"] = out["n_sessions"].astype(np.int64)
         return out
 
-    return (
-        ds.map_batches(
-            lambda t: add_bucket(t, key_col, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-    )
+    return keyed_exchange(ds, key_col, reduce_bucket, n_buckets)
 
 
 def rolling_per_key(ds, key_col: str, ts_col: str, val_col: str,
@@ -159,10 +149,7 @@ def rolling_per_key(ds, key_col: str, ts_col: str, val_col: str,
     cumsum-difference (int64-exact for the full int64 range — pandas
     ``rolling().sum()`` would round-trip through float64 and silently
     break exactness past 2^53) — no per-key Python."""
-    from gliner_cpp_ray.stages.joins import add_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
-    n_buckets = default_buckets(n_buckets)
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -187,17 +174,7 @@ def rolling_per_key(ds, key_col: str, ts_col: str, val_col: str,
             }
         )
 
-    return (
-        ds.map_batches(
-            lambda t: add_bucket(t, key_col, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    return keyed_exchange(ds, key_col, reduce_bucket, n_buckets)
 
 
 def debounce_events(ds, key_cols: list[str], ts_col: str, id_col: str,
@@ -212,10 +189,7 @@ def debounce_events(ds, key_cols: list[str], ts_col: str, id_col: str,
     shuffle (composite keys hashed together), per-bucket vectorized
     sort + diff — the session_counts machinery pointed at retention
     filtering instead of counting."""
-    from gliner_cpp_ray.stages.joins import add_group_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
-    n_buckets = default_buckets(n_buckets)
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -232,17 +206,7 @@ def debounce_events(ds, key_cols: list[str], ts_col: str, id_col: str,
         keep[0] = True
         return pd.DataFrame({id_col: g[id_col].to_numpy()[keep]})
 
-    return (
-        ds.map_batches(
-            lambda t: add_group_bucket(t, key_cols, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    return keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
 
 
 def lag_delta_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
@@ -255,10 +219,7 @@ def lag_delta_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
     -> Dataset(id, out_col).  Same scale shape as ``debounce_events``:
     ONE composite-key-hash bucket shuffle, per-bucket vectorized
     sort + shifted subtraction."""
-    from gliner_cpp_ray.stages.joins import add_group_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
-    n_buckets = default_buckets(n_buckets)
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -284,17 +245,7 @@ def lag_delta_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
             }
         )
 
-    return (
-        ds.map_batches(
-            lambda t: add_group_bucket(t, key_cols, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    return keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
 
 
 def transition_counts(ds, key_cols: list[str], ts_col: str, id_col: str,
@@ -308,11 +259,7 @@ def transition_counts(ds, key_cols: list[str], ts_col: str, id_col: str,
     partial n) — state-pair cardinality bounded — merged by one tiny
     grouped Sum."""
     from ray.data.aggregate import Sum
-
-    from gliner_cpp_ray.stages.joins import add_group_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
-    n_buckets = default_buckets(n_buckets)
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -344,17 +291,7 @@ def transition_counts(ds, key_cols: list[str], ts_col: str, id_col: str,
         )
         return out
 
-    partials = (
-        ds.map_batches(
-            lambda t: add_group_bucket(t, key_cols, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    partials = keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
     # final merge: state-pair-cardinality-bounded grouped Sum
     return partials.groupby(["state", "next_state"]).aggregate(
         Sum("n", alias_name="n")
@@ -473,10 +410,7 @@ def seq_numbers_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
     per-bucket vectorized sort + run-relative cumcount (no per-key
     pandas groups — one diff pass finds key starts, one subtract turns
     global positions into within-key ordinals)."""
-    from gliner_cpp_ray.stages.joins import add_group_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
-    n_buckets = default_buckets(n_buckets)
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -504,17 +438,7 @@ def seq_numbers_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
             }
         )
 
-    return (
-        ds.map_batches(
-            lambda t: add_group_bucket(t, key_cols, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    return keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
 
 
 def session_ids_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
@@ -533,12 +457,10 @@ def session_ids_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
     per-bucket reduce is sort + diff + run-relative cumsum — no per-key
     frames.
     """
-    from gliner_cpp_ray.stages.joins import add_group_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
     if gap_us < 0:
         raise ValueError("gap_us must be >= 0")
-    n_buckets = default_buckets(n_buckets)
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -568,17 +490,7 @@ def session_ids_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
         seq = cs - cs[run_start] + 1
         return pd.DataFrame({id_col: g[id_col].to_numpy(), out_col: seq})
 
-    return (
-        ds.map_batches(
-            lambda t: add_group_bucket(t, key_cols, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    return keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
 
 
 def running_sum_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
@@ -592,10 +504,7 @@ def running_sum_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
     per-bucket vectorized sort, then a single global cumsum rebased at
     each key run's start (the ``lag_delta`` run-start trick) — int64
     exact, no per-key frames."""
-    from gliner_cpp_ray.stages.joins import add_group_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
-    n_buckets = default_buckets(n_buckets)
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -618,17 +527,7 @@ def running_sum_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
         out = cs - cs[run_start] + v[run_start]
         return pd.DataFrame({id_col: g[id_col].to_numpy(), out_col: out})
 
-    return (
-        ds.map_batches(
-            lambda t: add_group_bucket(t, key_cols, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    return keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
 
 
 def session_stats_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
@@ -642,12 +541,10 @@ def session_stats_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
     ``ts_col`` must be integer micro-epoch.  -> Dataset(*key_cols,
     session_seq, n_events, sum_val, start_us, end_us).  Output volume
     is one row per session, bounded by event count."""
-    from gliner_cpp_ray.stages.joins import add_group_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
     if gap_us < 0:
         raise ValueError("gap_us must be >= 0")
-    n_buckets = default_buckets(n_buckets)
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         cols = {
@@ -690,17 +587,7 @@ def session_stats_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
             agg[c] = agg[c].astype(np.int64)
         return agg
 
-    return (
-        ds.map_batches(
-            lambda t: add_group_bucket(t, key_cols, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    return keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
 
 
 def interarrival_per_key(ds, key_col: str, ts_col: str, id_col: str,
@@ -715,10 +602,8 @@ def interarrival_per_key(ds, key_col: str, ts_col: str, id_col: str,
     key-run boundaries masking cross-key diffs (no per-key loop);
     keys with a single event have no gaps and are absent.  All int64;
     mean = sum // n matches DuckDB ``//`` (gaps are non-negative)."""
-    from gliner_cpp_ray.stages.joins import add_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
-    n_buckets = default_buckets(n_buckets)
     out_cols = [key_col, "n_gaps", "min_gap_us", "max_gap_us", "mean_gap_us"]
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -747,17 +632,7 @@ def interarrival_per_key(ds, key_col: str, ts_col: str, id_col: str,
         ).astype(np.int64)
         return out[out_cols]
 
-    return (
-        ds.map_batches(
-            lambda t: add_bucket(t, key_col, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    return keyed_exchange(ds, key_col, reduce_bucket, n_buckets)
 
 
 def dwell_by_attr(ds, key_col: str, ts_col: str, id_col: str,
@@ -771,10 +646,7 @@ def dwell_by_attr(ds, key_col: str, ts_col: str, id_col: str,
     ONE key-hash exchange; per-bucket vectorized sort + lead-diff with
     key-run masking, then per-bucket PARTIAL (attr, n, total) rows so
     the final grouped sum moves attrs × buckets rows, never events."""
-    from gliner_cpp_ray.stages.joins import add_bucket, bucketed_group_agg
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
-    n_buckets = default_buckets(n_buckets)
+    from gliner_cpp_ray.stages.joins import bucketed_group_agg, keyed_exchange
 
     def partial(g: pd.DataFrame) -> pd.DataFrame:
         cols = {attr_col: np.zeros(0, object),
@@ -795,17 +667,7 @@ def dwell_by_attr(ds, key_col: str, ts_col: str, id_col: str,
             {"n": grp.size().astype(np.int64), "s": grp.sum().astype(np.int64)}
         ).reset_index()
 
-    partials = (
-        ds.map_batches(
-            lambda t: add_bucket(t, key_col, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: partial(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    partials = keyed_exchange(ds, key_col, partial, n_buckets)
     agg = bucketed_group_agg(
         partials, attr_col,
         specs=[("sum", "n", "n_dwells"), ("sum", "s", "total_dwell_us")],
@@ -840,10 +702,8 @@ def trailing_range_sum(ds, key_col: str, ts_col: str, val_col: str,
     ``-range_us`` probe can never cross into the previous key's block)
     + an int64 cumsum difference — no per-key Python loop, exact for
     the full int64 range."""
-    from gliner_cpp_ray.stages.joins import add_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
-    n_buckets = default_buckets(n_buckets)
     range_us = int(range_us)
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -875,17 +735,7 @@ def trailing_range_sum(ds, key_col: str, ts_col: str, val_col: str,
             }
         )
 
-    return (
-        ds.map_batches(
-            lambda t: add_bucket(t, key_col, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    return keyed_exchange(ds, key_col, reduce_bucket, n_buckets)
 
 
 def watermark_admitted_counts(ds, ts_col: str = "ts", id_col: str = "event_id",
@@ -1008,11 +858,8 @@ def sequence_ngram_counts(ds, key_cols: list[str], ts_col: str, id_col: str,
     per-bucket groupby over the (|states|^n)-bounded combination table,
     and one tiny grouped Sum merge."""
     from ray.data.aggregate import Sum
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
-    from gliner_cpp_ray.stages.joins import add_group_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
-    n_buckets = default_buckets(n_buckets)
     out_cols = [f"s{i}" for i in range(n)]
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -1043,17 +890,7 @@ def sequence_ngram_counts(ds, key_cols: list[str], ts_col: str, id_col: str,
             .reset_index()
         )
 
-    partials = (
-        ds.map_batches(
-            lambda t: add_group_bucket(t, key_cols, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    partials = keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
     return partials.groupby(out_cols).aggregate(Sum("n", alias_name="n"))
 
 
@@ -1072,11 +909,7 @@ def session_item_pairs(ds, key_cols: list[str], ts_col: str, id_col: str,
     by the item-domain size, never corpus-scaled.  Partials merge under
     one |items|²-bounded grouped Sum."""
     from ray.data.aggregate import Sum
-
-    from gliner_cpp_ray.stages.joins import add_group_bucket
-    from gliner_cpp_ray.stages.sizing import default_buckets
-
-    n_buckets = default_buckets(n_buckets)
+    from gliner_cpp_ray.stages.joins import keyed_exchange
 
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -1113,17 +946,7 @@ def session_item_pairs(ds, key_cols: list[str], ts_col: str, id_col: str,
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    partials = (
-        ds.map_batches(
-            lambda t: add_group_bucket(t, key_cols, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_bucket(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
-    )
+    partials = keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
     return partials.groupby(["item_a", "item_b"]).aggregate(
         Sum("n", alias_name="n_sessions")
     )

@@ -1,0 +1,148 @@
+"""The one key-hash exchange (``stages.joins.keyed_exchange``) and its
+bucket hash (``add_group_bucket``), plus a ratchet that keeps the
+hand-written ``groupby("__bucket")`` idiom from growing back."""
+
+import ast
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pytest
+
+from gliner_cpp_ray.stages.joins import add_group_bucket
+
+PKG = pathlib.Path(__file__).resolve().parents[1] / "gliner_cpp_ray"
+
+
+def _rows(n: int = 600) -> pa.Table:
+    rng = np.random.default_rng(3)
+    return pa.table(
+        {
+            "i": pa.array(rng.integers(-40, 40, n), pa.int64()),
+            "j": pa.array(rng.integers(0, 5, n), pa.int32()),
+            "s": pa.array([f"k{v}" for v in rng.integers(0, 30, n)]),
+            "v": pa.array(rng.integers(0, 1000, n), pa.int64()),
+        }
+    )
+
+
+@pytest.mark.parametrize("keys", [["i"], ["i", "j"], ["s"], ["s", "i"]])
+def test_keyed_exchange_result_independent_of_bucket_count(ray_session, keys):
+    import ray.data as rd
+
+    from gliner_cpp_ray.stages.joins import keyed_exchange
+
+    tbl = _rows()
+
+    def reduce(g: pd.DataFrame) -> pd.DataFrame:
+        assert "__bucket" not in g.columns
+        out = g.groupby(keys, sort=False)["v"].agg(["sum", "size"])
+        return out.reset_index()
+
+    want = (
+        tbl.to_pandas().groupby(keys)["v"].agg(["sum", "size"]).reset_index()
+    )
+    for n_buckets in (1, 3, 16):
+        got = (
+            keyed_exchange(
+                rd.from_arrow(tbl).repartition(4), keys, reduce, n_buckets
+            )
+            .to_pandas()
+            .sort_values(keys)
+            .reset_index(drop=True)
+        )
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def test_keyed_exchange_empty_input(ray_session):
+    import ray.data as rd
+
+    from gliner_cpp_ray.stages.joins import keyed_exchange
+
+    empty = _rows().slice(0, 0)
+    assert keyed_exchange(rd.from_arrow(empty), ["s"], lambda g: g, 4).take_all() == []
+
+
+def test_single_int_key_bucket_is_knuth_multiply():
+    # integer-keyed exchanges and joins keep the buckets the single-key
+    # hash gave them: (k * 2654435761 >> 16) % n_buckets
+    k = np.array([-7, 0, 1, 2**40, 123456789], np.int64)
+    got = add_group_bucket(pa.table({"k": k}), ["k"], 13)
+    want = (k.astype(np.uint64) * np.uint64(2654435761) >> np.uint64(16)) % 13
+    assert got.column("__bucket").to_pylist() == want.astype(np.int64).tolist()
+
+
+_BUCKETS_SCRIPT = """
+import json, pyarrow as pa
+from gliner_cpp_ray.stages.joins import add_group_bucket
+t = pa.table({"i": pa.array([3, -1, 99, 2**33], pa.int64()),
+              "s": ["a", "bb", "été", ""]})
+print(json.dumps({
+    ",".join(k): add_group_bucket(t, k, 16).column("__bucket").to_pylist()
+    for k in (["i"], ["s"], ["s", "i"])
+}))
+"""
+
+
+def test_buckets_stable_across_interpreters():
+    """Bucket ids are a pure function of the key: two fresh interpreters
+    with different ``PYTHONHASHSEED`` agree (Python's ``hash()`` would
+    not), so a reduce may recompute ownership with the same function."""
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(PKG.parent), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _BUCKETS_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        runs.append(json.loads(proc.stdout))
+    assert runs[0] == runs[1]
+    assert len(set(runs[0]["s"])) > 1
+
+
+# Sites that still spell ``groupby("__bucket")`` out, and why: the
+# range and rank buckets are contiguous value/id ranges whose reduce
+# reads its bucket id to add a driver-computed offset — not key hashes.
+# stages/joins.py holds keyed_exchange itself and the six two-input
+# padded-union joins (hash, as-of, interval, nearest, anti, range-merge).
+_BUCKET_GROUPBY_ALLOWED = {
+    "stages/joins.py": 7,
+    "stages/packing.py": 6,  # pack_sequences, global_shuffle_positions, global_order_rank
+    "stages/sampling.py": 2,  # weighted probe sampling over id ranges
+}
+
+
+def test_bucket_groupby_idiom_does_not_grow_back():
+    counts = {}
+    for path in PKG.rglob("*.py"):
+        rel = path.relative_to(PKG).as_posix()
+        src = path.read_text()
+        n = sum(
+            1 for line in src.splitlines()
+            if 'groupby("__bucket")' in line
+            and not line.strip().startswith(("#", "``"))
+            and "``groupby" not in line
+        )
+        if n:
+            counts[rel] = n
+    for rel, n in counts.items():
+        assert rel in _BUCKET_GROUPBY_ALLOWED, (
+            f"{rel} spells out groupby(\"__bucket\"); use keyed_exchange"
+        )
+        assert n <= _BUCKET_GROUPBY_ALLOWED[rel], (rel, n)
+
+
+def test_no_package_module_imports_add_key_bucket():
+    for path in PKG.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+                assert "add_key_bucket" not in names, path

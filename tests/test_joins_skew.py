@@ -415,7 +415,7 @@ def test_bucketed_hash_join_salted_matches_unsalted(ray_session):
     splitting the hot key's probe rows across N sub-buckets."""
     import ray.data as rd
 
-    from gliner_cpp_ray.stages.joins import add_bucket, bucketed_hash_join
+    from gliner_cpp_ray.stages.joins import add_group_bucket, bucketed_hash_join
 
     rng = np.random.default_rng(11)
     n = 4000
@@ -455,7 +455,7 @@ def test_bucketed_hash_join_salted_matches_unsalted(ray_session):
 
     # white-box: per-bucket probe volume for the hot key drops ~salt×
     salt = 4
-    bucketed = add_bucket(left, "k", 8).to_pandas()
+    bucketed = add_group_bucket(left, ["k"], 8).to_pandas()
     hot = bucketed[bucketed["k"] == 7]
     unsalted_peak = hot.groupby("__bucket").size().max()
     sub = np.arange(len(bucketed), dtype=np.int64) % salt

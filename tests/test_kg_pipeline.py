@@ -395,8 +395,7 @@ def _key_sorted(tbl, key):
 def _scan_blocks(tbl, ray_session):
     # the pipeline's scan blocking of a one-file stage: Ray splits the
     # file's block into max(8, 4 x CPUs) pieces sized as np.array_split
-    # does (edge provenance samples one doc per triple per block, so the
-    # oracle must see the same blocks)
+    # does
     import numpy as np
 
     n = max(8, 4 * int(ray_session.cluster_resources()["CPU"]))
@@ -409,8 +408,9 @@ def _scan_blocks(tbl, ray_session):
 
 def test_tail_matches_oracle(ray_session, pipeline_out):
     """Canon map, nodes (every column, aliases included) and edges
-    (provenance included) equal the per-block replay of the kept stage
-    functions over the run's own checkpoints."""
+    (provenance included) equal the replay of the kept stage functions
+    over the run's own checkpoints.  Every tail aggregate is
+    blocking-independent, so the replay reads each table as one block."""
     import pickle
 
     from tests.oracle_kg_tail import (
@@ -419,11 +419,9 @@ def test_tail_matches_oracle(ray_session, pipeline_out):
 
     out, _, _ = pipeline_out
     mentions = _table(out, "mentions").select(["text", "label"])
-    assert len(_files(out, "linked")) == 1
     linked = _table(out, "linked")
-    blocks = _scan_blocks(linked, ray_session)
 
-    pairs, canon_map = canon_oracle(_scan_blocks(mentions, ray_session))
+    pairs, canon_map = canon_oracle([mentions])
     with open(os.path.join(out, "canon", "canon_map.pkl"), "rb") as f:
         assert pickle.load(f) == canon_map
     with open(os.path.join(out, "canon", "manifest.json")) as f:
@@ -432,14 +430,35 @@ def test_tail_matches_oracle(ray_session, pipeline_out):
     nodes = _table(out, "nodes")
     assert len(_files(out, "nodes")) == 1
     assert nodes.column("canon_id").to_pylist() == sorted(nodes.column("canon_id").to_pylist())
-    want = nodes_oracle([mentions], blocks, canon_map)
+    want = nodes_oracle([mentions], [linked], canon_map)
     assert nodes.num_rows == want.num_rows > 0
     assert nodes.equals(want)
 
     edges = _table(out, "edges")
-    want_e = edges_oracle(blocks, canon_map)
+    want_e = edges_oracle([linked], canon_map)
     assert edges.num_rows == want_e.num_rows > 0
     assert _key_sorted(edges, EDGE_KEY).equals(want_e)
+
+
+def test_edge_provenance_ignores_blocking_and_row_order(ray_session, pipeline_out):
+    """Edge provenance is the smallest 8 distinct supporting doc ids,
+    whatever blocks the linked rows arrive in and in whatever order:
+    the per-block partials must not sample by row position."""
+    import pickle
+
+    from tests.oracle_kg_tail import edges_oracle
+
+    out, _, _ = pipeline_out
+    linked = _table(out, "linked")
+    with open(os.path.join(out, "canon", "canon_map.pkl"), "rb") as f:
+        canon_map = pickle.load(f)
+    whole = edges_oracle([linked], canon_map)
+    reversed_rows = linked.take(list(range(linked.num_rows - 1, -1, -1)))
+    assert edges_oracle(_scan_blocks(linked, ray_session), canon_map).equals(whole)
+    assert edges_oracle([reversed_rows], canon_map).equals(whole)
+    prov = whole.column("provenance").to_pylist()
+    assert max(map(len, prov)) > 1  # some edge has several supporting docs
+    assert all(p == sorted(set(p)) for p in prov)
 
 
 def _synthetic_mentions():
