@@ -5104,8 +5104,6 @@ def q_events_in_order_window(sf_dir: str):
     1995-2001 order dates inside the 2024 event month, so the non-equi
     predicate is selective rather than empty.  Both sides corpus-sized,
     co-partitioned by user hash (one shuffle per side)."""
-    from ray.data.aggregate import Count, Sum
-
     from gliner_cpp_ray.stages.joins import interval_join_bucketed
 
     ev = _read(sf_dir, "events", columns=["user_id", "ts", "value"])

@@ -69,48 +69,39 @@ def apply_cdc_delta(base, delta, key: str, val_cols: list[str],
 
     Scale shape: the delta collapses through ``latest_by_key`` (hot
     keys die in its map-side combiner; one key-hash exchange over
-    per-batch winners), then a second key-hash exchange co-locates the
-    base with the key-bounded collapsed delta (side-tagged union) and a
-    per-bucket vectorized isin-merge emits the new snapshot.  No driver
-    state; tombstones travel as ordinary rows and die in the merge.
+    per-batch winners), then one ``keyed_cogroup`` co-locates the base
+    with the key-bounded collapsed delta and a per-bucket vectorized
+    isin-merge emits the new snapshot.  No driver state; tombstones
+    travel as ordinary rows and die in the merge.
     """
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    import pyarrow.compute as pc
+
+    from gliner_cpp_ray.stages.joins import arrow_schema, keyed_cogroup
 
     out_cols = [key, *val_cols]
+    # types from the delta's own plan: the base (and the collapsed
+    # delta) usually end in a shuffle that a schema probe would execute
+    d_schema = arrow_schema(delta)
+    base_schema = pa.schema([d_schema.field(c) for c in out_cols])
 
-    latest = latest_by_key(delta, key, order_cols)
-
-    def tag(op_expr):
-        def fn(t: pa.Table) -> pa.Table:
-            return t.select(out_cols).append_column("__op", op_expr(t))
-
-        return fn
-
-    base_t = base.map_batches(
-        tag(lambda t: pa.array(np.full(t.num_rows, "", object), pa.string())),
-        batch_format="pyarrow",
-    )
-    def delta_ops(t: pa.Table) -> pa.Array:
+    def checked_ops(t: pa.Table) -> pa.Table:
         ops = t.column(op_col).cast(pa.string())
-        # "" is the internal base-side tag; a delta op of "" would be
-        # silently treated as a base row — fail loudly instead
-        import pyarrow.compute as pc
-
         if pc.any(pc.equal(ops, "")).as_py() or ops.null_count:
             raise ValueError(f"{op_col} must be non-empty, non-null strings")
-        return ops
+        return t.select(out_cols).append_column(op_col, ops)
 
-    delta_t = latest.map_batches(tag(delta_ops), batch_format="pyarrow")
+    latest = latest_by_key(delta, key, order_cols).map_batches(
+        checked_ops, batch_format="pyarrow"
+    )
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        is_base = (g["__op"] == "").to_numpy()
-        b, d = g[is_base], g[~is_base]
+    def merge(b: pd.DataFrame, d: pd.DataFrame) -> pd.DataFrame:
         if b[key].duplicated().any():
             raise ValueError("base snapshot has duplicate keys")
         kept_base = b[~b[key].isin(d[key])]
-        upserts = d[d["__op"] != delete_op]
-        return pd.concat([kept_base, upserts])[out_cols]
+        upserts = d.loc[d[op_col] != delete_op, out_cols]
+        return pd.concat([kept_base, upserts])
 
-    # both sides share one schema (out_cols + __op), so their union is
-    # a single keyed input
-    return keyed_exchange(base_t.union(delta_t), key, merge, n_buckets)
+    return keyed_cogroup(
+        base, latest, key, merge, n_buckets, base_schema,
+        base_schema.append(pa.field(op_col, pa.string())),
+    )

@@ -1151,11 +1151,8 @@ def edit_distance_pairs(ds, col: str, d: int = 1,
         keys: list[str] = []
         ss: list[str] = []
         for blk, s in distinct:
-            # NOT "\x00": pandas' hash_pandas_object(categorize=True) —
-            # the bucket hash — truncates object strings at an embedded
-            # NUL, which collapses every key of a block into one bucket
-            # AND breaks the ownership rehash.  \x1f is hash-safe; block
-            # values are ints (or must not contain \x1f when strings).
+            # block values are ints (or must not contain \x1f when
+            # strings), so \x1f separates them from the deletion key
             prefix = "" if blk is None else f"{blk}\x1f"
             for k in _deletion_keys(s, d):
                 keys.append(prefix + k)

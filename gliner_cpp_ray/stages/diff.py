@@ -19,11 +19,11 @@ the integer sentinel −1 where the side is absent — typed sentinels, not
 NULLs, so the output schema is dtype-stable and hash-checkable against a
 SQL ``FULL OUTER JOIN ... COALESCE(v, -1)`` transcription.
 
-Scale shape: each side is projected to (key, vals) and tagged with a
-side marker map-side; ONE key-hash bucket shuffle co-locates both
-versions of every key, and the per-bucket reduce is a C-level pandas
-outer merge + vectorized compare.  Movement: |old| + |new| projected
-rows through one exchange — never a broadcast, never a driver collect;
+Scale shape: each side is projected to (key, vals); ONE
+``keyed_cogroup`` co-locates both versions of every key, and the
+per-bucket merge is a C-level pandas outer merge + vectorized compare.
+Movement: |old| + |new| projected rows through one exchange — never a
+broadcast, never a driver collect;
 the output is delta-sized.  Int64 value columns only (web-corpus
 measures): the sentinel coalesce keeps every output column int64.
 """
@@ -34,8 +34,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from gliner_cpp_ray.stages.joins import keyed_exchange
-from gliner_cpp_ray.stages.sizing import default_buckets
+from gliner_cpp_ray.stages.joins import keyed_cogroup
 
 
 def snapshot_diff(old, new, key: str, val_cols: list[str],
@@ -45,16 +44,9 @@ def snapshot_diff(old, new, key: str, val_cols: list[str],
     Both inputs must carry ``key`` (non-null) and every ``val_cols``
     column (int64); each side is assumed keyed (≤ 1 row per key — the
     output of ``latest_by_key`` or any grouped aggregate qualifies)."""
-    n_buckets = default_buckets(n_buckets)
-    cols = [key, *val_cols]
-
-    def tag(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            return t.select(cols).append_column(
-                "__side", pa.array(np.full(t.num_rows, side, np.int8))
-            )
-
-        return fn
+    # both sides carry exactly these int64 columns; passing the schema
+    # keeps the (usually shuffled) inputs from executing twice
+    side_schema = pa.schema([(c, pa.int64()) for c in [key, *val_cols]])
 
     out_schema = pa.schema(
         [(key, pa.int64()), ("change", pa.string())]
@@ -62,9 +54,7 @@ def snapshot_diff(old, new, key: str, val_cols: list[str],
         + [(f"new_{c}", pa.int64()) for c in val_cols]
     )
 
-    def reduce_bucket(g: pd.DataFrame) -> pa.Table:
-        o = g.loc[g["__side"] == 0, cols]
-        n = g.loc[g["__side"] == 1, cols]
+    def merge(o: pd.DataFrame, n: pd.DataFrame) -> pa.Table:
         m = o.merge(n, on=key, how="outer", suffixes=("_o", "_n"),
                     indicator=True)
         state = m["_merge"].to_numpy()
@@ -85,10 +75,6 @@ def snapshot_diff(old, new, key: str, val_cols: list[str],
             {k: pa.array(v[keep]) for k, v in out.items()}, schema=out_schema
         )
 
-    lt = old.map_batches(tag(0), batch_format="pyarrow")
-    rt = new.map_batches(tag(1), batch_format="pyarrow")
-    # both sides share one schema (cols + __side): a single keyed input
-    return keyed_exchange(
-        lt.union(rt).repartition(max(n_buckets, 8)),  # coalesce slivers
-        key, reduce_bucket, n_buckets,
+    return keyed_cogroup(
+        old, new, key, merge, n_buckets, side_schema, side_schema
     )

@@ -5,30 +5,38 @@
   per whole bucket.  Grouped aggregates, per-key window/sequence
   reduces and the KG edge reduce all run on it (``bucketed_group_agg``
   and ``banded_self_pairs`` are thin clients).
-* ``add_group_bucket`` — THE bucket hash, shared by ``keyed_exchange``
-  and by both sides of every two-input join below, so equal keys meet
-  in one bucket whichever operator put them there.
+* ``keyed_cogroup`` — THE two-input exchange, built on
+  ``keyed_exchange``: tag each side with ``__side``, pad both to one
+  schema (``_tagged_union``, the one home of the int-upcast guard
+  ``_structural_pad``), union, coalesce, shuffle on the key, and hand
+  a merge function each bucket's two sides as separate frames.  The
+  hash, anti, as-of, interval and nearest joins, ``diff.snapshot_diff``
+  and ``compaction.apply_cdc_delta`` are merge functions over it.
+* ``add_group_bucket`` — THE bucket hash, shared by both exchanges, so
+  equal keys meet in one bucket whichever operator put them there.
 * ``broadcast_lookup_join`` — small side broadcast as a dict; vectorized
   pandas map inside ``map_batches``.  No shuffle.  THE default when one
   side fits in memory (dimension tables, vocab, alias dicts).
-* ``bucketed_hash_join`` — both sides large: add ``bucket = hash(key) %
-  B`` to each side, null-pad to a common schema, union, and merge within
-  each ``groupby(bucket)`` group with pandas.  One shuffle per side; B
-  sets merge granularity.  This is the portable partitioned hash join
-  that works on any Ray version (``Dataset.join`` landed only recently)
-  and keeps B and skew handling explicit.
+* ``bucketed_hash_join`` — both sides large: one ``keyed_cogroup`` on
+  the key, a pandas merge per bucket.  B (``n_buckets``) sets merge
+  granularity.  This is the portable partitioned hash join that works
+  on any Ray version (``Dataset.join`` landed only recently) and keeps
+  B and skew handling explicit.
 * ``broadcast_semi_join`` / ``broadcast_anti_join`` — key-set broadcast,
   vectorized ``is_in`` filter.  No shuffle.
-* ``asof_join_bucketed`` / ``interval_join_bucketed`` — non-equi joins
-  Ray Data has no native operator for, composed from the same
-  bucket-shuffle plan: co-partition by key hash, merge per bucket with a
-  sorted ``merge_asof`` / equi-merge + between-filter.
+* ``asof_join_bucketed`` / ``interval_join_bucketed`` /
+  ``nearest_join_bucketed`` — non-equi joins Ray Data has no native
+  operator for: a ``keyed_cogroup`` on the key, then a sorted
+  ``merge_asof`` / equi-merge + between-filter per bucket.
+* ``range_merge_join`` — the one two-input join NOT on a key hash: the
+  same tagged union, grouped by equi-depth key-range id.
 
 Skew note: a hot join key floods one bucket; the fix is salting the
 probe side and replicating the build side per salt — implemented as
-``bucketed_hash_join(..., salt=N)`` (see stages/skew.py for the
-aggregation analog).  The KG pipeline itself avoids keyed skew by
-pre-aggregating before every shuffle.
+``bucketed_hash_join(..., salt=N)``, where the salt is a second key
+column (see stages/skew.py for the aggregation analog).  The KG
+pipeline itself avoids keyed skew by pre-aggregating before every
+shuffle.
 """
 
 from __future__ import annotations
@@ -50,8 +58,18 @@ def add_group_bucket(batch: pa.Table, keys: list[str], n_buckets: int,
     lands in ``(k * 2654435761 >> 16) % n_buckets``); anything else
     hashes the key-column frame via ``pd.util.hash_pandas_object``.
     Both are process-stable (no ``PYTHONHASHSEED`` dependence), so a
-    reduce may recompute bucket ownership with this same function."""
-    cols = [batch.column(k) for k in keys]
+    reduce may recompute bucket ownership with this same function.
+
+    The pandas hash stops at a string's first NUL, so NUL maps to
+    ``"\\x01"`` first: equal keys still meet, NUL-free keys keep their
+    bucket, and a collision with a real ``"\\x01"`` only shares a bucket
+    (every reduce is key-local)."""
+    cols = [
+        pc.replace_substring(c, "\x00", "\x01")
+        if pa.types.is_string(c.type) or pa.types.is_large_string(c.type)
+        else c
+        for c in (batch.column(k) for k in keys)
+    ]
     if all(pa.types.is_integer(c.type) for c in cols):
         h = np.zeros(batch.num_rows, dtype=np.uint64)
         for c in cols:
@@ -131,10 +149,10 @@ def bucketed_group_agg(ds, keys, agg: str | None = None,
 
 
 def _structural_pad(n: int, typ: pa.DataType) -> pa.Array:
-    """Padding for a column the OTHER side of a bucketed union doesn't
-    carry.  The per-bucket merges are built to never READ padded cells
-    (each side is re-projected to its own columns first), so the pad is
-    purely structural — but it must not poison the block conversion:
+    """Padding for a column the OTHER side of a tagged union doesn't
+    carry.  Merges never READ padded cells (``_tagged_union`` splits
+    each group back into its sides' own columns), so the pad is purely
+    structural — but it must not poison the block conversion:
     ``pa.nulls`` in an int64 column makes Ray's Arrow→pandas block
     conversion upcast the WHOLE column to float64, silently rounding
     the REAL side's values past 2^53 (md5-u60 keys corrupted; caught by
@@ -158,14 +176,133 @@ def _as_arrow_type(t) -> pa.DataType:
     return pa.from_numpy_dtype(t)
 
 
+def arrow_schema(ds, explicit: pa.Schema | None = None) -> pa.Schema:
+    """``explicit`` when given, else ``ds.schema()`` as Arrow.  On a plan
+    that ends in a shuffle (groupby/aggregate/sort) ``ds.schema()``
+    EXECUTES the whole shuffle just to learn the schema, and a join then
+    executes it again — a silent 2× on that input; callers that know
+    the schema statically pass it.  (Reads/maps pay a cheap limit-1
+    probe; materialized inputs are free.)"""
+    if explicit is not None:
+        return explicit
+    s = ds.schema()
+    return pa.schema([(n, _as_arrow_type(t)) for n, t in zip(s.names, s.types)])
+
+
+def _restore_int_dtypes(df: pd.DataFrame, int_cols: set) -> pd.DataFrame:
+    # a real null in an int64 column (or a merge's missing match) makes
+    # pandas hold it as float64 — restore nullable Int64 so aggregates
+    # stay integer and hash-match integer oracles
+    for c in df.columns:
+        if c in int_cols and df[c].dtype.kind == "f":
+            df[c] = df[c].astype("Int64")
+    return df
+
+
+def _int_names(schema: pa.Schema) -> set:
+    return {f.name for f in schema if pa.types.is_integer(f.type)}
+
+
+def _tagged_union(left, right, n_parts: int, left_schema: pa.Schema,
+                  right_schema: pa.Schema):
+    """THE input of every two-input exchange: tag each side's rows with
+    ``__side``, pad both to one schema (the left's columns, then the
+    right's own) with ``_structural_pad``, union, and coalesce to
+    ``max(n_parts, 8)`` blocks — the union arrives as one sliver block
+    per upstream task (e.g. 128 × ~1.5k rows), and the shuffle's sort
+    pays per-block fixed costs that dwarf the data at that granularity.
+
+    Each side carries exactly its schema's columns (extra batch columns
+    drop).  Returns ``(union, split)``: ``split(group)`` turns a shuffled
+    pandas group back into ``(left_frame, right_frame)``, each with only
+    its own side's columns and integer dtypes restored."""
+    fields = list(left_schema) + [
+        f for f in right_schema if f.name not in left_schema.names
+    ]
+
+    def pad(side: int, own: set):
+        def fn(t: pa.Table) -> pa.Table:
+            n = t.num_rows
+            cols = {
+                f.name: t.column(f.name) if f.name in own
+                else _structural_pad(n, f.type)
+                for f in fields
+            }
+            cols["__side"] = pa.array(np.full(n, side, np.int8))
+            return pa.table(cols)
+
+        return fn
+
+    union = (
+        left.map_batches(pad(0, set(left_schema.names)), batch_format="pyarrow")
+        .union(right.map_batches(pad(1, set(right_schema.names)),
+                                 batch_format="pyarrow"))
+        .repartition(max(n_parts, 8))
+    )
+    lcols, rcols = list(left_schema.names), list(right_schema.names)
+    int_cols = _int_names(pa.schema(fields))
+
+    def split(g: pd.DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
+        side = g["__side"].to_numpy()
+        return (_restore_int_dtypes(g.loc[side == 0, lcols], int_cols),
+                _restore_int_dtypes(g.loc[side == 1, rcols], int_cols))
+
+    return union, split
+
+
+def keyed_cogroup(left, right, keys, merge_fn, n_buckets: int | None = None,
+                  left_schema: pa.Schema | None = None,
+                  right_schema: pa.Schema | None = None):
+    """THE two-input key-hash exchange, on ``keyed_exchange``: both
+    sides go through ``_tagged_union`` and one key-hash shuffle over
+    ``keys`` (columns both sides carry), so every row of a key, from
+    either side, meets in one bucket.  ``merge_fn(lg, rg)`` runs once
+    per WHOLE bucket with two pandas frames, each holding only its own
+    side's columns (integer dtypes restored; no ``__side`` or
+    ``__bucket``) — either may be empty.  It returns a pandas frame or
+    an Arrow table and must be key-local.
+
+    ``left_schema`` / ``right_schema``: each side's columns and types
+    (see ``arrow_schema``); pass them when a side's plan ends in a
+    shuffle."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    n_buckets = default_buckets(n_buckets)
+    union, split = _tagged_union(
+        left, right, n_buckets,
+        arrow_schema(left, left_schema), arrow_schema(right, right_schema),
+    )
+    return keyed_exchange(union, keys, lambda g: merge_fn(*split(g)), n_buckets)
+
+
+def _merged_to_arrow(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
+    """Convert a per-bucket merge result to an Arrow block with the
+    declared join schema (extra columns drop; integer columns a missing
+    match turned float come back as ints).  Emitting Arrow (not pandas)
+    from the merge matters downstream: Ray's sort-based
+    groupby/aggregate over pandas blocks with nullable Int64 extension
+    columns runs an object path that measured 17x slower than the same
+    aggregate over Arrow int64 blocks (22.7s vs 1.3s on a 600k-row join
+    output at sf0.1)."""
+    return pa.Table.from_pandas(
+        _restore_int_dtypes(df, _int_names(schema)), schema=schema,
+        preserve_index=False,
+    )
+
+
+def _join_schemas(left, right, key: str):
+    """``(left, right, joined)`` schemas of a key join: the joined
+    schema is the left's columns, then the right's minus ``key``."""
+    ls, rs = arrow_schema(left), arrow_schema(right)
+    return ls, rs, pa.schema(list(ls) + [f for f in rs if f.name != key])
+
+
 def bucketed_hash_join(left, right, on: str, n_buckets: int | None = None,
                        how: str = "inner", suffix: str = "_r",
                        left_schema: pa.Schema | None = None,
                        right_schema: pa.Schema | None = None,
                        salt: int = 1):
-    """Partitioned hash join of two Datasets on a key column (integer
-    fast path; string/other types bucket via the process-stable pandas
-    hash).
+    """Partitioned hash join of two Datasets on a key column — a
+    ``keyed_cogroup`` whose merge is a per-bucket pandas merge.
 
     ``how`` in {"inner", "left"}.  Right-side columns that collide with
     left names (other than ``on``) are renamed with ``suffix`` first.
@@ -173,195 +310,69 @@ def bucketed_hash_join(left, right, on: str, n_buckets: int | None = None,
     ``salt`` (default 1 = off): hot-key handling.  A key holding a
     large fraction of the LEFT side floods one bucket group, and that
     group's merge becomes the straggler (and the peak-memory site).
-    With ``salt=N`` each left row lands in one of N sub-buckets
-    (``bucket*N + row_position%N``) and every RIGHT row is replicated
-    into all N — per-bucket left volume drops ~N× for the hot key at
-    the cost of N× the (small) right side.  Sub-buckets are DISTINCT
-    buckets, so no build row is seen twice by one merge group and
-    inner/left semantics are unchanged.  Use when the left side is
-    probe-heavy with known skew and the right side is the smaller
-    build side.
+    With ``salt=N`` each left row gets ``__salt = row position % N``,
+    every RIGHT row is replicated N times with ``__salt`` 0…N−1, and
+    the exchange keys on ``(on, __salt)`` over ``n_buckets·N`` buckets —
+    the hot key's left rows spread over up to N buckets at the cost of
+    N× the (small) right side.  The merge matches on ``(on, __salt)``,
+    so each left row meets exactly one replica and inner/left semantics
+    are unchanged.  Use when the left side is probe-heavy with known
+    skew and the right side is the smaller build side.
 
-    ``left_schema`` / ``right_schema``: optional explicit Arrow schemas.
-    Pass them when a side's schema is statically known and its plan ends
-    in a shuffle (groupby/aggregate/sort): ``Dataset.schema()`` on such
-    a plan EXECUTES the whole shuffle just to learn the schema, and the
-    join then executes it again — a silent 2× on that input.  (Inputs
-    that are reads/maps only pay a cheap limit-1 probe; materialized
-    inputs are free.)
+    ``left_schema`` / ``right_schema``: optional explicit Arrow schemas
+    (see ``arrow_schema``): pass them when a side's plan ends in a
+    shuffle, or the join executes that shuffle twice.
     """
     if how not in ("inner", "left"):
         raise ValueError("how must be 'inner' or 'left'")
     if salt < 1:
         raise ValueError("salt must be >= 1")
     n_buckets = default_buckets(n_buckets)
-
-    def names_types(ds, explicit):
-        if explicit is not None:
-            return list(explicit.names), {
-                f.name: f.type for f in explicit
-            }
-        s = ds.schema()  # ray.data.Schema: .names + .types
-        return list(s.names), {
-            n: _as_arrow_type(t) for n, t in zip(s.names, s.types)
-        }
-
-    lcols, ltypes = names_types(left, left_schema)
-    rnames, rtypes = names_types(right, right_schema)
-    rename = {c: c + suffix for c in rnames if c != on and c in set(lcols)}
+    ls, rs = arrow_schema(left, left_schema), arrow_schema(right, right_schema)
+    rename = {c: c + suffix for c in rs.names if c != on and c in ls.names}
     if rename:
         # portable rename (Dataset.rename_columns trips on pandas blocks)
         right = right.map_batches(
             lambda t: t.rename_columns([rename.get(c, c) for c in t.schema.names]),
             batch_format="pyarrow",
         )
-        rnames = [rename.get(c, c) for c in rnames]
-        rtypes = {rename.get(c, c): t for c, t in rtypes.items()}
-    rcols = [c for c in rnames if c != on]
-
-    # common schema: on + left columns + right columns (+ side marker)
-    def pad(side_cols, schema_types):
-        def fn(t: pa.Table, side: int) -> pa.Table:
-            if salt > 1 and side == 1:
-                # replicate the build side into every sub-bucket
-                t = pa.concat_tables([t] * salt)
-            t = add_group_bucket(t, [on], n_buckets)
-            n = t.num_rows
-            bucket = t.column("__bucket").to_numpy(zero_copy_only=False)
-            if salt > 1:
-                if side == 0:
-                    sub = np.arange(n, dtype=np.int64) % salt
-                else:
-                    # concat order: replica r occupies rows [r*m, (r+1)*m)
-                    sub = (np.arange(n, dtype=np.int64) * salt) // n
-                bucket = bucket * salt + sub
-            arrays, names = [], []
-            for name, typ in schema_types:
-                names.append(name)
-                if name in t.schema.names:
-                    arrays.append(t.column(name))
-                else:
-                    arrays.append(_structural_pad(n, typ))
-            names += ["__bucket", "__side"]
-            arrays += [pa.array(bucket), pa.array(np.full(n, side, np.int8))]
-            return pa.table(dict(zip(names, arrays)))
-
-        return fn
-
-    types = [(n, ltypes[n]) for n in lcols]
-    types += [(c, rtypes[c]) for c in rcols]
-    padder = pad(None, types)
-    lt = left.map_batches(lambda t: padder(t, 0), batch_format="pyarrow")
-    rt = right.map_batches(lambda t: padder(t, 1), batch_format="pyarrow")
-
-    out_cols = lcols + rcols
-    # The union null-pads each side's missing columns, and pandas
-    # upcasts int64-with-nulls to float64 inside the merge group — so
-    # integer columns must be restored to (nullable) Int64 on the way
-    # out, or every downstream aggregate silently goes float and
-    # hash-diverges from an integer oracle.
-    int_cols = {n for n, t in types if pa.types.is_integer(t)}
-
-    out_schema = pa.schema(types)
-
-    def merge(g: pd.DataFrame) -> pa.Table:
-        lg = g.loc[g["__side"] == 0, lcols]
-        rg = g.loc[g["__side"] == 1, [on, *rcols]]
-        if lg.empty or (rg.empty and how == "inner"):
-            return out_schema.empty_table()
-        return _merged_to_arrow(
-            _restore_int_dtypes(lg.merge(rg, on=on, how=how), int_cols),
-            out_schema,
+        rs = pa.schema([f.with_name(rename.get(f.name, f.name)) for f in rs])
+    out_schema = pa.schema(list(ls) + [f for f in rs if f.name != on])
+    keys = [on]
+    if salt > 1:
+        keys.append("__salt")
+        left = left.map_batches(
+            lambda t: t.append_column(
+                "__salt", pa.array(np.arange(t.num_rows, dtype=np.int64) % salt)
+            ),
+            batch_format="pyarrow",
         )
+        right = right.map_batches(
+            lambda t: pa.concat_tables([
+                t.append_column("__salt", pa.array(np.full(t.num_rows, s, np.int64)))
+                for s in range(salt)
+            ]),
+            batch_format="pyarrow",
+        )
+        ls = ls.append(pa.field("__salt", pa.int64()))
+        rs = rs.append(pa.field("__salt", pa.int64()))
 
-    return (
-        lt.union(rt)
-        .repartition(max(n_buckets * salt, 8))  # coalesce slivers pre-shuffle
-        .groupby("__bucket")
-        .map_groups(merge, batch_format="pandas")
-    )
+    # a left join's right integer columns are nullable: one pandas dtype
+    # in every bucket, so a block Ray concatenates from several buckets
+    # never holds nulls under int64 pandas metadata (which reads back
+    # as float64)
+    nullable = {
+        f.name: "Int64" for f in rs
+        if how == "left" and f.name not in keys and pa.types.is_integer(f.type)
+    }
 
+    def merge(lg: pd.DataFrame, rg: pd.DataFrame) -> pa.Table:
+        if how == "inner" and (lg.empty or rg.empty):
+            return out_schema.empty_table()
+        m = lg.merge(rg, on=keys, how=how)
+        return _merged_to_arrow(m.astype(nullable) if nullable else m, out_schema)
 
-def _pad_union_by_bucket(left, right, key: str, n_buckets: int | None,
-                         bounds: np.ndarray | None = None):
-    """Shared shuffle plan for the non-equi joins: bucket both sides on
-    the (integer) join key, null-pad each side to the common schema with
-    a ``__side`` marker, and union.  Callers group by ``__bucket`` and
-    merge per group — ONE shuffle per side, co-locating every row of a
-    key in a single bucket group (the partitioning assumption all the
-    bucketed joins rely on).
-
-    ``bounds``: optional sorted int64 split points — when given, rows
-    are assigned to CONTIGUOUS KEY RANGES via searchsorted instead of
-    the key hash (the range-partitioned join path), and ``n_buckets``
-    is ignored for assignment.
-
-    Returns ``(unioned, lcols, rcols, int_cols, out_schema)``.
-    """
-    n_buckets = (
-        len(bounds) + 1 if bounds is not None else default_buckets(n_buckets)
-    )
-    lschema, rschema = left.schema(), right.schema()
-    lcols = list(lschema.names)
-    rcols = [c for c in rschema.names if c != key]
-    types = [(n, _as_arrow_type(t)) for n, t in zip(lschema.names, lschema.types)]
-    types += [
-        (c, _as_arrow_type(t))
-        for c, t in zip(rschema.names, rschema.types)
-        if c != key
-    ]
-
-    def pad(t: pa.Table, side: int) -> pa.Table:
-        if bounds is not None:
-            k = t.column(key).to_numpy(zero_copy_only=False)
-            t = t.append_column(
-                "__bucket",
-                pa.array(np.searchsorted(bounds, k, side="right")
-                         .astype(np.int64)),
-            )
-        else:
-            t = add_group_bucket(t, [key], n_buckets)
-        n = t.num_rows
-        arrays, names = [], []
-        for name, typ in types:
-            names.append(name)
-            if name in t.schema.names:
-                arrays.append(t.column(name))
-            else:
-                arrays.append(_structural_pad(n, typ))
-        names += ["__bucket", "__side"]
-        arrays += [t.column("__bucket"), pa.array(np.full(n, side, np.int8))]
-        return pa.table(dict(zip(names, arrays)))
-
-    lt = left.map_batches(lambda t: pad(t, 0), batch_format="pyarrow")
-    rt = right.map_batches(lambda t: pad(t, 1), batch_format="pyarrow")
-    int_cols = {n for n, t in types if pa.types.is_integer(t)}
-    # COALESCE before the groupby shuffle: the union arrives as one
-    # sliver block per upstream read/map task (e.g. 128 × ~1.5k rows),
-    # and groupby's sort pays per-block fixed costs that dwarf the data
-    # at that granularity — same lesson as the KG edge reduce
-    unioned = lt.union(rt).repartition(max(n_buckets, 8))
-    return unioned, lcols, rcols, int_cols, pa.schema(types)
-
-
-def _restore_int_dtypes(df: pd.DataFrame, int_cols: set) -> pd.DataFrame:
-    # the union null-pads each side's missing columns and pandas upcasts
-    # int64-with-nulls to float64 — restore nullable Int64 so downstream
-    # aggregates stay integer and hash-match integer oracles
-    for c in df.columns:
-        if c in int_cols and df[c].dtype.kind == "f":
-            df[c] = df[c].astype("Int64")
-    return df
-
-
-def _merged_to_arrow(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
-    """Convert a per-bucket merge result to an Arrow block with the
-    declared join schema.  Emitting Arrow (not pandas) from the merge
-    matters downstream: Ray's sort-based groupby/aggregate over pandas
-    blocks with nullable Int64 extension columns runs an object path
-    that measured 17x slower than the same aggregate over Arrow int64
-    blocks (22.7s vs 1.3s on a 600k-row join output at sf0.1)."""
-    return pa.Table.from_pandas(df, schema=schema, preserve_index=False)
+    return keyed_cogroup(left, right, keys, merge, n_buckets * salt, ls, rs)
 
 
 def asof_join_bucketed(left, right, key: str, left_ts: str, right_ts: str,
@@ -377,35 +388,24 @@ def asof_join_bucketed(left, right, key: str, left_ts: str, right_ts: str,
     with no match are dropped.
 
     Partitioning assumption: all rows of a key land in one hash bucket
-    (see ``_pad_union_by_bucket``); within a bucket the merge sorts both
-    sides by timestamp, so cost is O(bucket log bucket), never all-pairs.
+    (``keyed_cogroup``); within a bucket the merge sorts both sides by
+    timestamp, so cost is O(bucket log bucket), never all-pairs.
     """
-    unioned, lcols, rcols, int_cols, out_schema = _pad_union_by_bucket(
-        left, right, key, n_buckets
-    )
-    out_cols = lcols + rcols
+    ls, rs, out_schema = _join_schemas(left, right, key)
 
-    def merge(g: pd.DataFrame) -> pa.Table:
-        lg = g.loc[g["__side"] == 0, lcols].sort_values(left_ts)
-        rg = g.loc[g["__side"] == 1, [key, *rcols]].sort_values(
-            [right_ts, tiebreak]
-        )
+    def merge(lg: pd.DataFrame, rg: pd.DataFrame) -> pa.Table:
         if lg.empty or rg.empty:
             return out_schema.empty_table()
         # rg sorted by (ts, tiebreak): merge_asof takes the LAST row with
         # right_ts <= left_ts per group, i.e. max-ts then max-tiebreak
         m = pd.merge_asof(
-            lg, rg, left_on=left_ts, right_on=right_ts, by=key,
+            lg.sort_values(left_ts), rg.sort_values([right_ts, tiebreak]),
+            left_on=left_ts, right_on=right_ts, by=key,
             direction="backward", allow_exact_matches=True,
         )
-        m = m.dropna(subset=[right_ts])  # inner semantics
-        return _merged_to_arrow(
-            _restore_int_dtypes(m[out_cols], int_cols), out_schema
-        )
+        return _merged_to_arrow(m.dropna(subset=[right_ts]), out_schema)
 
-    return (
-        unioned.groupby("__bucket").map_groups(merge, batch_format="pandas")
-    )
+    return keyed_cogroup(left, right, key, merge, n_buckets, ls, rs)
 
 
 def interval_join_bucketed(points, intervals, key: str, point_col: str,
@@ -414,30 +414,21 @@ def interval_join_bucketed(points, intervals, key: str, point_col: str,
     every interval row of the same ``key`` with ``lo <= point < hi``.
 
     Both sides may be corpus-sized; they are co-partitioned by hashing
-    ``key`` (one shuffle per side), and each bucket group does a
+    ``key`` (one ``keyed_cogroup``), and each bucket group does a
     vectorized equi-merge on ``key`` followed by a between-filter — so
     per-bucket cost is O(matching key pairs), not bucket².  Half-open
     ``[lo, hi)`` matches the SQL ``p >= lo AND p < hi``.
     """
-    unioned, pcols, icols, int_cols, out_schema = _pad_union_by_bucket(
-        points, intervals, key, n_buckets
-    )
-    out_cols = pcols + icols
+    ps, is_, out_schema = _join_schemas(points, intervals, key)
 
-    def merge(g: pd.DataFrame) -> pa.Table:
-        pg = g.loc[g["__side"] == 0, pcols]
-        ig = g.loc[g["__side"] == 1, [key, *icols]]
+    def merge(pg: pd.DataFrame, ig: pd.DataFrame) -> pa.Table:
         if pg.empty or ig.empty:
             return out_schema.empty_table()
         m = pg.merge(ig, on=key, how="inner")
         m = m[(m[point_col] >= m[lo_col]) & (m[point_col] < m[hi_col])]
-        return _merged_to_arrow(
-            _restore_int_dtypes(m[out_cols], int_cols), out_schema
-        )
+        return _merged_to_arrow(m, out_schema)
 
-    return (
-        unioned.groupby("__bucket").map_groups(merge, batch_format="pandas")
-    )
+    return keyed_cogroup(points, intervals, key, merge, n_buckets, ps, is_)
 
 
 def broadcast_lookup_join(ds, lookup: dict, key: str, out_col: str,
@@ -694,54 +685,17 @@ def bucketed_anti_join(left, right_keys, on: str,
                        n_buckets: int | None = None):
     """Partitioned exact anti join: left rows whose key has no match in
     ``right_keys`` (a Dataset holding at least the ``on`` column).  One
-    key-hash bucket shuffle of both sides; per-bucket vectorized
-    ``isin`` inversion."""
-    n_buckets = default_buckets(n_buckets)
-    s = left.schema()
-    lcols = list(s.names)
-    ltypes = {n: _as_arrow_type(t) for n, t in zip(s.names, s.types)}
-    out_schema = pa.schema([(n, ltypes[n]) for n in lcols])
-    int_cols = {n for n in lcols if pa.types.is_integer(ltypes[n])}
+    ``keyed_cogroup`` of both sides (the right projected to ``on``);
+    per-bucket vectorized ``isin`` inversion."""
+    ls = arrow_schema(left)
 
-    def pad(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            t = add_group_bucket(t, [on], n_buckets)
-            n = t.num_rows
-            arrays, names = [], []
-            for name in lcols:
-                names.append(name)
-                if name in t.schema.names:
-                    arrays.append(t.column(name))
-                else:
-                    arrays.append(_structural_pad(n, ltypes[name]))
-            names += ["__bucket", "__side"]
-            arrays += [
-                t.column("__bucket"),
-                pa.array(np.full(n, side, np.int8)),
-            ]
-            return pa.table(dict(zip(names, arrays)))
-
-        return fn
-
-    lt = left.map_batches(pad(0), batch_format="pyarrow")
-    rt = right_keys.select_columns([on]).map_batches(
-        pad(1), batch_format="pyarrow"
-    )
-
-    def merge(g: pd.DataFrame) -> pa.Table:
-        lg = g.loc[g["__side"] == 0, lcols]
+    def merge(lg: pd.DataFrame, rk: pd.DataFrame) -> pa.Table:
         if lg.empty:
-            return out_schema.empty_table()
-        rk = g.loc[g["__side"] == 1, on]
-        return _merged_to_arrow(
-            _restore_int_dtypes(lg[~lg[on].isin(rk)], int_cols), out_schema
-        )
+            return ls.empty_table()
+        return _merged_to_arrow(lg[~lg[on].isin(rk[on])], ls)
 
-    return (
-        lt.union(rt)
-        .repartition(max(n_buckets, 8))  # coalesce slivers pre-shuffle
-        .groupby("__bucket")
-        .map_groups(merge, batch_format="pandas")
+    return keyed_cogroup(
+        left, right_keys, on, merge, n_buckets, ls, pa.schema([ls.field(on)])
     )
 
 
@@ -890,18 +844,13 @@ def nearest_join_bucketed(left, right, key: str, left_ts: str, right_ts: str,
     Both ``*_ts`` columns must be INTEGER (epoch-us) — cast map-side
     before the join; the distance arithmetic is int64-exact (a float64
     path would silently round past 2^53 us)."""
-    unioned, lcols, rcols, int_cols, out_schema = _pad_union_by_bucket(
-        left, right, key, n_buckets
-    )
-    out_cols = lcols + rcols
+    ls, rs, out_schema = _join_schemas(left, right, key)
 
-    def merge(g: pd.DataFrame) -> pa.Table:
-        lg = g.loc[g["__side"] == 0, lcols].sort_values(left_ts)
-        rg_b = g.loc[g["__side"] == 1, [key, *rcols]].sort_values(
-            [right_ts, tiebreak]
-        )
-        if lg.empty or rg_b.empty:
+    def merge(lg: pd.DataFrame, rg: pd.DataFrame) -> pa.Table:
+        if lg.empty or rg.empty:
             return out_schema.empty_table()
+        lg = lg.sort_values(left_ts)
+        rg_b = rg.sort_values([right_ts, tiebreak])
         back = pd.merge_asof(
             lg, rg_b, left_on=left_ts, right_on=right_ts, by=key,
             direction="backward", allow_exact_matches=True,
@@ -929,16 +878,12 @@ def nearest_join_bucketed(left, right, key: str, left_ts: str, right_ts: str,
         )
         use_back = ~bna & (db <= df_)  # backward wins ties
         m = fwd.copy()
-        for c in rcols + [key]:
+        for c in rg.columns:
             m[c] = back[c].where(use_back, fwd[c])
-        m = m.dropna(subset=[right_ts])  # inner semantics
-        return _merged_to_arrow(
-            _restore_int_dtypes(m[out_cols], int_cols), out_schema
-        )
+        # inner semantics
+        return _merged_to_arrow(m.dropna(subset=[right_ts]), out_schema)
 
-    return (
-        unioned.groupby("__bucket").map_groups(merge, batch_format="pandas")
-    )
+    return keyed_cogroup(left, right, key, merge, n_buckets, ls, rs)
 
 
 def range_merge_join(left, right, on: str, n_parts: int | None = None,
@@ -978,22 +923,25 @@ def range_merge_join(left, right, on: str, n_parts: int | None = None,
         else np.array([], np.int64)
     )
 
-    unioned, lcols, rcols, int_cols, schema = _pad_union_by_bucket(
-        left, right, on, None, bounds=bounds
-    )
+    ls, rs, schema = _join_schemas(left, right, on)
+    # the tagged union, bucketed by key RANGE (not hash): the equi-depth
+    # balance and range-partitioned output need the range ids as they are
+    unioned, split = _tagged_union(left, right, len(bounds) + 1, ls, rs)
+    rcols = [c for c in rs.names if c != on]
+
+    def range_id(t: pa.Table) -> pa.Table:
+        k = t.column(on).to_numpy(zero_copy_only=False)
+        return t.append_column(
+            "__bucket",
+            pa.array(np.searchsorted(bounds, k, side="right").astype(np.int64)),
+        )
 
     def merge(g: pd.DataFrame) -> pa.Table:
-        g = g.drop(columns="__bucket")
-        lg = g[g["__side"] == 0][lcols]
-        rg = g[g["__side"] == 1][[on, *rcols]]
+        lg, rg = split(g)
         if not len(lg) or not len(rg):
             return schema.empty_table()
-        lg = _restore_int_dtypes(lg, int_cols).sort_values(
-            on, kind="mergesort"
-        )
-        rg = _restore_int_dtypes(rg, int_cols).sort_values(
-            on, kind="mergesort"
-        )
+        lg = lg.sort_values(on, kind="mergesort")
+        rg = rg.sort_values(on, kind="mergesort")
         lk = lg[on].to_numpy(np.int64)
         rk = rg[on].to_numpy(np.int64)
         lo = np.searchsorted(rk, lk, side="left")
@@ -1015,6 +963,7 @@ def range_merge_join(left, right, on: str, n_parts: int | None = None,
         return _merged_to_arrow(out, schema)
 
     return (
-        unioned.groupby("__bucket")
+        unioned.map_batches(range_id, batch_format="pyarrow")
+        .groupby("__bucket")
         .map_groups(merge, batch_format="pandas")
     )

@@ -415,8 +415,6 @@ def hits_scores(edges_ds, nodes_ds, n_iters: int = 2,
     join + one groupby-sum, all exchanges partitioned on node id; score
     state stays a distributed Dataset end to end.
     """
-    from ray.data.aggregate import Sum
-
     from gliner_cpp_ray.stages.sizing import default_buckets
 
     if n_iters < 1:
@@ -610,7 +608,6 @@ def triangle_counts(edges_ds, n_buckets: int | None = None):
     """
     import pandas as pd
 
-    from ray.data.aggregate import Count
     from gliner_cpp_ray.stages.sizing import default_buckets
 
     und_schema = _UND_SCHEMA

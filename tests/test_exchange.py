@@ -1,6 +1,7 @@
-"""The one key-hash exchange (``stages.joins.keyed_exchange``) and its
-bucket hash (``add_group_bucket``), plus a ratchet that keeps the
-hand-written ``groupby("__bucket")`` idiom from growing back."""
+"""The key-hash exchanges (``stages.joins.keyed_exchange`` and its
+two-input form ``keyed_cogroup``) and their bucket hash
+(``add_group_bucket``), plus ratchets that keep the hand-written
+``groupby("__bucket")`` and ``__side`` idioms from growing back."""
 
 import ast
 import json
@@ -108,13 +109,133 @@ def test_buckets_stable_across_interpreters():
     assert len(set(runs[0]["s"])) > 1
 
 
+def test_nul_in_string_keys_does_not_collapse_buckets():
+    # the pandas hash stops at the first NUL: without the substitution
+    # all 64 keys land in one bucket
+    t = pa.table({"k": [f"a\x00{i}" for i in range(64)]})
+    assert len(set(add_group_bucket(t, ["k"], 1024).column("__bucket").to_pylist())) > 32
+    # NUL-free keys keep exactly the buckets they had before
+    t = pa.table(
+        {"s": ["a", "bb", "été", "", "k17", "http://x.org/p?q=1"],
+         "i": pa.array([3, -1, 99, 2**33, 0, 5], pa.int64())}
+    )
+    assert add_group_bucket(t, ["s"], 1024).column("__bucket").to_pylist() == [
+        1011, 604, 546, 309, 1007, 274,
+    ]
+    assert add_group_bucket(t, ["s", "i"], 1024).column("__bucket").to_pylist() == [
+        1011, 289, 13, 311, 647, 528,
+    ]
+
+
+def _sides() -> tuple[pa.Table, pa.Table]:
+    rng = np.random.default_rng(7)
+    lt = _rows(500)
+    n = 200
+    rt = pa.table(
+        {
+            "i": pa.array(rng.integers(-40, 40, n), pa.int64()),
+            "s": pa.array([f"k{v}" for v in rng.integers(0, 30, n)]),
+            "w": pa.array(rng.integers(0, 1000, n), pa.int64()),
+        }
+    )
+    return lt, rt
+
+
+@pytest.mark.parametrize("keys", [["i"], ["s"], ["s", "i"]])
+def test_keyed_cogroup_result_independent_of_bucket_count(ray_session, keys):
+    import ray.data as rd
+
+    from gliner_cpp_ray.stages.joins import keyed_cogroup
+
+    lt, rt = _sides()
+
+    def merge(lg: pd.DataFrame, rg: pd.DataFrame) -> pd.DataFrame:
+        assert list(lg.columns) == lt.schema.names
+        assert list(rg.columns) == rt.schema.names
+        nl = lg.groupby(keys).size().rename("nl")
+        nr = rg.groupby(keys).size().rename("nr")
+        return pd.concat([nl, nr], axis=1).fillna(0).astype(np.int64).reset_index()
+
+    l_df, r_df = lt.to_pandas(), rt.to_pandas()
+    want = (
+        pd.concat(
+            [l_df.groupby(keys).size().rename("nl"),
+             r_df.groupby(keys).size().rename("nr")],
+            axis=1,
+        )
+        .fillna(0).astype(np.int64).reset_index()
+        .sort_values(keys).reset_index(drop=True)
+    )
+    for n_buckets in (1, 3, 16):
+        got = (
+            keyed_cogroup(
+                rd.from_arrow(lt).repartition(3), rd.from_arrow(rt), keys,
+                merge, n_buckets,
+            )
+            .to_pandas()
+            .sort_values(keys)
+            .reset_index(drop=True)
+        )
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def test_keyed_cogroup_keeps_padded_int64_exact(ray_session):
+    # each side's int64 columns are padded on the other side; values
+    # past 2^53 must reach merge_fn as exact ints, not float64
+    import ray.data as rd
+
+    from gliner_cpp_ray.stages.joins import keyed_cogroup
+
+    big = 2**60 + np.arange(4, dtype=np.int64)
+    lt = pa.table({"k": pa.array([1, 2, 3, 4], pa.int64()), "a": pa.array(big)})
+    rt = pa.table({"k": pa.array([2, 3, 9], pa.int64()), "b": pa.array(big[:3] + 7)})
+
+    def merge(lg: pd.DataFrame, rg: pd.DataFrame) -> pd.DataFrame:
+        for df, col in ((lg, "a"), (rg, "b")):
+            assert df[col].dtype.kind == "i", df.dtypes
+            assert "__side" not in df.columns and "__bucket" not in df.columns
+        return pd.DataFrame(
+            {"k": np.concatenate([lg["k"], rg["k"]]),
+             "v": np.concatenate([lg["a"], rg["b"]])}
+        )
+
+    got = keyed_cogroup(rd.from_arrow(lt), rd.from_arrow(rt), "k", merge, 4)
+    got = got.to_pandas().sort_values(["k", "v"])
+    assert got["v"].dtype.kind == "i"
+    want = sorted(zip([1, 2, 3, 4, 2, 3, 9], big.tolist() + (big[:3] + 7).tolist()))
+    assert list(zip(got["k"].tolist(), got["v"].tolist())) == want
+
+
+@pytest.mark.parametrize("empty_side", ["left", "right"])
+def test_keyed_cogroup_empty_side(ray_session, empty_side):
+    import ray.data as rd
+
+    from gliner_cpp_ray.stages.joins import keyed_cogroup
+
+    lt, rt = _sides()
+    if empty_side == "left":
+        lt = lt.slice(0, 0)
+    else:
+        rt = rt.slice(0, 0)
+
+    def merge(lg: pd.DataFrame, rg: pd.DataFrame) -> pd.DataFrame:
+        assert list(lg.columns) == lt.schema.names
+        assert list(rg.columns) == rt.schema.names
+        return pd.DataFrame({"nl": [len(lg)], "nr": [len(rg)]})
+
+    got = keyed_cogroup(rd.from_arrow(lt), rd.from_arrow(rt), ["s"], merge, 5)
+    got = got.to_pandas()
+    assert int(got["nl"].sum()) == lt.num_rows
+    assert int(got["nr"].sum()) == rt.num_rows
+
+
 # Sites that still spell ``groupby("__bucket")`` out, and why: the
 # range and rank buckets are contiguous value/id ranges whose reduce
 # reads its bucket id to add a driver-computed offset — not key hashes.
-# stages/joins.py holds keyed_exchange itself and the six two-input
-# padded-union joins (hash, as-of, interval, nearest, anti, range-merge).
+# stages/joins.py holds keyed_exchange itself and range_merge_join,
+# whose buckets are equi-depth key ranges, not hashes.
 _BUCKET_GROUPBY_ALLOWED = {
-    "stages/joins.py": 7,
+    "stages/joins.py": 2,
     "stages/packing.py": 6,  # pack_sequences, global_shuffle_positions, global_order_rank
     "stages/sampling.py": 2,  # weighted probe sampling over id ranges
 }
@@ -146,3 +267,14 @@ def test_no_package_module_imports_add_key_bucket():
             if isinstance(node, ast.ImportFrom):
                 names = {a.name for a in node.names}
                 assert "add_key_bucket" not in names, path
+
+
+def test_side_tag_lives_only_in_joins():
+    # two-input exchanges go through keyed_cogroup; no other module
+    # tags or splits sides by hand
+    users = sorted(
+        path.relative_to(PKG).as_posix()
+        for path in PKG.rglob("*.py")
+        if '"__side"' in path.read_text()
+    )
+    assert users == ["stages/joins.py"]

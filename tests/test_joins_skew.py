@@ -458,11 +458,15 @@ def test_bucketed_hash_join_salted_matches_unsalted(ray_session):
     bucketed = add_group_bucket(left, ["k"], 8).to_pandas()
     hot = bucketed[bucketed["k"] == 7]
     unsalted_peak = hot.groupby("__bucket").size().max()
-    sub = np.arange(len(bucketed), dtype=np.int64) % salt
-    bucketed["__salted"] = bucketed["__bucket"] * salt + sub
-    salted_peak = (
-        bucketed[bucketed["k"] == 7].groupby("__salted").size().max()
-    )
+    # salt is a key column: left rows take __salt = row position % salt,
+    # and the exchange hashes (k, __salt) into 8·salt buckets
+    salted = add_group_bucket(
+        left.append_column(
+            "__salt", pa.array(np.arange(n, dtype=np.int64) % salt)
+        ),
+        ["k", "__salt"], 8 * salt,
+    ).to_pandas()
+    salted_peak = salted[salted["k"] == 7].groupby("__bucket").size().max()
     assert salted_peak <= unsalted_peak / (salt - 1)
 
 
