@@ -1,79 +1,62 @@
 """End-to-end KG construction pipeline (north_rule), checkpointed.
 
     pages ──read_parquet(cols pruned, lang pushdown)──▶ docs (html→text)
-      ──byte-cap rebatch──▶ NER actor pool ──▶ mentions  [checkpoint, sharded]
-    mentions ──relations──▶ triples ──linker tasks──▶ linked  [checkpoint]
-    mentions(text, label) ──count──sum exchange──▶ driver: canon map
-      + mention node partials  [canon]
-    linked ──canon rewrite──keyed exchange(triple)──sort(subj)──▶ edges
-    linked ──endpoint partials──sum exchange──▶ driver: reduce with the
-      mention node partials ──sort(canon_id)──▶ nodes
+      ──byte-cap rebatch──▶ NER actor pool ──▶ per write task (_ShardSink):
+        mention rows                ──▶ mentions/<shard>/   [checkpoint]
+        relations ──▶ linking       ──▶ parts/<shard>/linked-*
+        (text, label, count)        ──▶ parts/<shard>/surfaces-*
+        raw triple (count, prov ≤8) ──▶ parts/<shard>/triples-*
+    driver, over every finished shard's parts:
+      linked-*   ──hard links──▶ linked
+      surfaces-* ──sum──▶ resolve_surfaces ──▶ canon map + mention node
+        partials  [canon]
+      triples-*  ──canon rewrite──▶ reduce_edges ──sort(key)──▶ edges
+        (above _DRIVER_MERGE_BYTES: keyed exchange(key) ──sort──▶ edges)
+      triples-*  ──ambiguous endpoints──▶ reduce with the mention node
+        partials ──sort(canon_id)──▶ nodes
 
-Each stage streams; the driver holds only vocabulary-bounded tables
-(merged surface counts, canon map, node table).  Stage outputs are
-Parquet with manifests + ``_SUCCESS`` (state/checkpoint.py); the NER
-stage is also sharded over input-file groups so a failed run resumes
-mid-stage.  Shuffles after NER: surface sum; edge repartition, keyed
-exchange and subject sort; endpoint sum.
+Relations, linking and every partial run inside the write tasks of the
+NER dataset, on the CPUs the NER actors leave free; the tail then runs
+no Ray execution while the triple partials stay under the bound.  Each
+shard's parts are materialized once and reused by every later run
+(``run_kg_delta`` does NER, relations and linking over the delta only).
+Stage outputs are Parquet with manifests + ``_SUCCESS``
+(state/checkpoint.py); the NER stage is sharded over input-file groups
+so a failed run resumes mid-stage.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pickle
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import pyarrow as pa
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
+from ray.data import Datasink
+from ray.data.block import BlockAccessor
 
 from gliner_cpp_ray.stages.canonicalize import (
-    NODE_PARTIALS_SCHEMA,
     SURFACE_COUNTS_SCHEMA,
+    TRIPLE_PARTIALS_SCHEMA,
     canonize_triple_endpoints,
     count_surfaces,
+    count_triples,
     reduce_edge_bucket,
+    reduce_edges,
     reduce_nodes,
     resolve_surfaces,
-    rewrite_triples_to_canon,
+    rewrite_partials_to_canon,
 )
 from gliner_cpp_ray.stages.html_to_text import html_to_docs
-from gliner_cpp_ray.stages.linking import LINKED_EXTRA, link_triples
-from gliner_cpp_ray.stages.ner import MENTIONS_SCHEMA, GlinerNERStage
-from gliner_cpp_ray.stages.relations import TRIPLES_SCHEMA, extract_relations
+from gliner_cpp_ray.stages.linking import link_triples
+from gliner_cpp_ray.stages.ner import GlinerNERStage
+from gliner_cpp_ray.stages.relations import extract_relations
 from gliner_cpp_ray.stages.repartition import make_byte_capped_rebatcher
 from gliner_cpp_ray.state import checkpoint
-
-
-def _patch_http_fs_probe() -> None:
-    """Harden Ray's ``_is_http_filesystem`` against a thread race.
-
-    Its guard catches only ``ModuleNotFoundError``, but when two stage
-    threads resolve paths concurrently and ``aiohttp`` is absent, the
-    concurrent ``fsspec.implementations.http`` imports can surface a
-    plain ``ImportError`` ("cannot import name ...") from a partially
-    initialized module, crashing an otherwise-valid local read.  Any
-    import failure means "not an http filesystem", so map it to False.
-    """
-    try:
-        import ray.data.datasource.path_util as _pu
-    except ImportError:  # pragma: no cover
-        return
-    orig = _pu._is_http_filesystem
-    if getattr(orig, "_kgray_patched", False):
-        return
-
-    def safe(fs):
-        try:
-            return orig(fs)
-        except ImportError:
-            return False
-
-    safe._kgray_patched = True
-    _pu._is_http_filesystem = safe
-
-
-_patch_http_fs_probe()
 
 
 @dataclass
@@ -167,30 +150,53 @@ def _inputs_fingerprint(files: list[str]) -> list[list]:
     return [[os.path.basename(f), os.path.getsize(f)] for f in files]
 
 
-def _mentions_lineage(out_root: str) -> list[list]:
-    """Fingerprint of every finished mentions shard under ``out_root``:
-    (shard dir name, total_rows, total_bytes), sorted.  Downstream stage
-    checkpoints embed this in their config, so ingesting a new shard
-    (run_kg_delta) or re-running a changed shard automatically marks
-    linked/canon/edges/nodes stale — no manual invalidation."""
-    root = os.path.join(out_root, "mentions")
-    lineage = []
-    if os.path.isdir(root):
-        for name in sorted(os.listdir(root)):
-            mpath = os.path.join(root, name, "manifest.json")
-            if checkpoint.is_done(os.path.join(root, name)):
-                try:
-                    with open(mpath) as f:
-                        m = json.load(f)
-                except (OSError, json.JSONDecodeError):
-                    continue
-                lineage.append(
-                    [name, m.get("total_rows", 0), m.get("total_bytes", 0)]
-                )
-    return lineage
+# mention rows per write task: coalesces output files (hundreds of tiny
+# parquet files slow the write and every reader) and sizes each task's
+# relations/linking/partials batch
+_ROWS_PER_WRITE = 200_000
+
+# layout version of a mentions shard and its parts (which files a write
+# task leaves), part of the shard config: a shard written under another
+# layout is recomputed, not reused without its parts
+_SHARD_LAYOUT = 1
+
+_PART_KINDS = ("linked", "surfaces", "triples")
 
 
-def _make_mentions_producer(group: list[str], cfg: KGPipelineConfig):
+class _ShardSink(Datasink):
+    """Writes one mentions shard: per write task, its mention rows under
+    the shard directory and, under the shard's parts directory, their
+    linked triples and the two raw-key partial tables (surface counts,
+    triple counts with provenance).  Every file is named by the task
+    index, so a retried task overwrites its own files."""
+
+    def __init__(self, mentions_dir: str, parts_dir: str):
+        self.mentions_dir = mentions_dir
+        self.parts_dir = parts_dir
+
+    @property
+    def min_rows_per_write(self) -> int:
+        return _ROWS_PER_WRITE
+
+    def write(self, blocks, ctx) -> int:
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        tables = [t for t in tables if t.num_rows]
+        if not tables:
+            return 0
+        mentions = pa.concat_tables(tables)
+        # plain tasks with a cached per-process linker (no actor pool;
+        # see linking.default_linker)
+        linked = link_triples(extract_relations(mentions))
+        name = f"{ctx.task_idx:05d}.parquet"
+        pq.write_table(mentions, os.path.join(self.mentions_dir, f"part-{name}"))
+        for kind, table in zip(
+            _PART_KINDS, (linked, count_surfaces(mentions), count_triples(linked))
+        ):
+            pq.write_table(table, os.path.join(self.parts_dir, f"{kind}-{name}"))
+        return mentions.num_rows
+
+
+def _make_mentions_producer(group: list[str], cfg: KGPipelineConfig, parts_dir: str):
     def produce(path):
         import ray as _r
 
@@ -200,12 +206,65 @@ def _make_mentions_producer(group: list[str], cfg: KGPipelineConfig):
             _n = 8
         ds = read_pages(group, cfg.lang_allow, num_blocks=20 * _n)
         out = build_mentions(ds, cfg)
-        # coalesce output files: hundreds of tiny parquet files slow
-        # the write and every downstream read
-        out.write_parquet(path, min_rows_per_file=200_000)
-        return {"input_files": group, "dataset_stats": _trim_stats(out)}
+        out.write_datasink(_ShardSink(path, parts_dir))
+        stats = _trim_stats(out)
+        # the finished plan is cyclic garbage that keeps the NER actor
+        # (and its CPU) alive until the cyclic GC next runs: a NER
+        # dataset started right after waited ~20 s for it (2-CPU
+        # session, back-to-back 20k-page builds)
+        del ds, out
+        gc.collect()
+        return {"input_files": group, "dataset_stats": stats}
 
     return produce
+
+
+def _run_shard(out_root: str, name: str, files: list[str], cfg: KGPipelineConfig) -> dict:
+    """Run (or reuse) mentions shard ``name`` over ``files``: mention
+    rows under ``mentions/<name>/``, its parts under ``parts/<name>/``
+    (outside ``mentions/``, whose every entry is a shard)."""
+    parts_dir = os.path.join(out_root, "parts", name)
+    return checkpoint.run_stage(
+        os.path.join(out_root, "mentions", name),
+        {
+            "stage": "mentions",
+            "config": {
+                **cfg.fingerprint(),
+                "inputs": _inputs_fingerprint(files),
+                "layout": _SHARD_LAYOUT,
+            },
+        },
+        _make_mentions_producer(files, cfg, parts_dir),
+        parts=parts_dir,
+    )
+
+
+def _finished_shards(out_root: str, cfg: KGPipelineConfig) -> list[tuple[str, dict]]:
+    """``(shard dir name, manifest)`` of every finished mentions shard
+    under ``out_root``, sorted by name.  A shard of another layout has
+    no usable parts: it is recomputed from its recorded input files."""
+    root = os.path.join(out_root, "mentions")
+    shards = []
+    if os.path.isdir(root):
+        for name in sorted(os.listdir(root)):
+            if not checkpoint.is_done(os.path.join(root, name)):
+                continue
+            try:
+                with open(os.path.join(root, name, "manifest.json")) as f:
+                    m = json.load(f)
+            except (OSError, json.JSONDecodeError):
+                continue
+            if m.get("config", {}).get("layout") != _SHARD_LAYOUT:
+                files = m.get("input_files") or []
+                if not files or not all(map(os.path.isfile, files)):
+                    raise ValueError(
+                        f"mentions shard {name} under {out_root} predates shard "
+                        f"layout {_SHARD_LAYOUT} and its input files are gone: "
+                        "rebuild the KG from its pages"
+                    )
+                m = _run_shard(out_root, name, files, cfg)
+            shards.append((name, m))
+    return shards
 
 
 def run_kg_pipeline(pages_path: str, out_root: str, cfg: KGPipelineConfig | None = None) -> dict:
@@ -214,7 +273,7 @@ def run_kg_pipeline(pages_path: str, out_root: str, cfg: KGPipelineConfig | None
     os.makedirs(out_root, exist_ok=True)
     summary: dict = {}
 
-    # --- stage 1: mentions (sharded + resumable) ----------------------
+    # --- stage 1: mentions + per-shard parts (sharded + resumable) -----
     files = _pages_files(pages_path)
     # data-aware shuffle parallelism: post-combiner volume tracks input
     # volume, so size the reduce partitions from the pages bytes we can
@@ -223,23 +282,10 @@ def run_kg_pipeline(pages_path: str, out_root: str, cfg: KGPipelineConfig | None
     reduce_parts = cfg.resolved_reduce_partitions(input_bytes)
     n_shards = max(1, min(cfg.shards, len(files)))
     groups = [files[i::n_shards] for i in range(n_shards)]
-    mentions_root = os.path.join(out_root, "mentions")
-    shard_manifests = []
-    for k, group in enumerate(groups):
-        shard_dir = os.path.join(mentions_root, f"shard-{k}")
-        shard_manifests.append(
-            checkpoint.run_stage(
-                shard_dir,
-                {
-                    "stage": "mentions",
-                    "config": {
-                        **cfg.fingerprint(),
-                        "inputs": _inputs_fingerprint(group),
-                    },
-                },
-                _make_mentions_producer(group, cfg),
-            )
-        )
+    shard_manifests = [
+        _run_shard(out_root, f"shard-{k}", group, cfg)
+        for k, group in enumerate(groups)
+    ]
     summary["mentions"] = {
         "shards": len(shard_manifests),
         "rows": sum(m["total_rows"] for m in shard_manifests),
@@ -253,17 +299,17 @@ def run_kg_pipeline(pages_path: str, out_root: str, cfg: KGPipelineConfig | None
 def run_kg_delta(delta_pages, out_root: str, cfg: KGPipelineConfig | None = None) -> dict:
     """Ingest a NEW crawl batch into an existing KG ``out_root``.
 
-    The expensive NER stage runs over the delta pages ONLY (a fresh
+    NER, relations and linking run over the delta pages ONLY (a fresh
     mentions shard named from the delta's input-file identity, so the
     same batch re-ingested is a checkpoint no-op); the downstream
-    stages (relations+linking, canonicalization, edges, nodes) then
-    recompute over the union of all mention shards — their checkpoints
-    embed the mentions lineage, so the new shard marks them stale
-    automatically.  The result is bit-identical to a full recompute
-    over base ∪ delta (canonicalization is global: a delta mention can
-    merge two previously-distinct surface clusters, so the cheap wide
-    stages must re-run; the NER cost — the dominant term at crawl
-    scale — stays delta-sized).
+    stages (linked, canonicalization, edges, nodes) then merge the
+    stored parts of ALL shards — their checkpoints embed the mentions
+    lineage, so the new shard marks them stale automatically.  The
+    result is bit-identical to a full recompute over base ∪ delta
+    (canonicalization is global: a delta mention can merge two
+    previously-distinct surface clusters, so the canon map is rebuilt
+    from every shard's surface counts and every shard's triple partials
+    are rewritten again; the per-page work stays delta-sized).
 
     ``delta_pages``: a pages dir / parquet file, or an explicit list of
     parquet files.  Returns per-stage manifests.
@@ -287,12 +333,8 @@ def run_kg_delta(delta_pages, out_root: str, cfg: KGPipelineConfig | None = None
     tag = hashlib.md5(
         ";".join(f"{b}:{s}" for b, s in inputs).encode()
     ).hexdigest()[:12]
-    shard_dir = os.path.join(out_root, "mentions", f"shard-delta-{tag}")
-    manifest = checkpoint.run_stage(
-        shard_dir,
-        {"stage": "mentions", "config": {**cfg.fingerprint(), "inputs": inputs}},
-        _make_mentions_producer(files, cfg),
-    )
+    shard = f"shard-delta-{tag}"
+    manifest = _run_shard(out_root, shard, files, cfg)
     summary = {
         "mentions": {
             "shards": 1,
@@ -301,228 +343,170 @@ def run_kg_delta(delta_pages, out_root: str, cfg: KGPipelineConfig | None = None
         }
     }
     # downstream shuffle parallelism: size from the full corpus seen so
-    # far (all shards' recorded input files, falling back to mentions
-    # bytes when an input file has been removed since)
-    input_bytes = sum(s for _, s in inputs)
-    for name, _rows, nbytes in _mentions_lineage(out_root):
-        if name == os.path.basename(shard_dir):
-            continue
-        input_bytes += nbytes
+    # far (the delta's input files, and the mentions bytes of every
+    # other shard)
+    input_bytes = sum(s for _, s in inputs) + sum(
+        m.get("total_bytes", 0)
+        for name, m in _finished_shards(out_root, cfg)
+        if name != shard
+    )
     reduce_parts = cfg.resolved_reduce_partitions(input_bytes)
     summary.update(_run_downstream(out_root, cfg, reduce_parts))
     return summary
 
 
-def _sum_exchange(ds, schema, n_parts: int):
-    """Merge per-block count partials with ``groupby(keys).sum("count")``
-    (``keys``: every column of ``schema`` but the last, ``count``) into
-    one Arrow table on the driver, typed by ``schema``.  The callers'
-    keys are vocabulary-bounded, so it is small at any corpus size."""
-    import pyarrow as pa
-
-    summed = ds.groupby(schema.names[:-1], num_partitions=n_parts).sum("count")
-    # iter_batches: ray.get(to_arrow_refs()) took ~0.4 s longer per
-    # exchange (Ray 2.49, 2-CPU local session, 20k-page corpus)
-    parts = [
-        t
-        for t in summed.iter_batches(batch_size=None, batch_format="pyarrow")
-        if t.num_rows
-    ]
-    if not parts:
-        return schema.empty_table()
-    return pa.concat_tables(parts).rename_columns(schema.names).cast(schema)
-
-
-def _canon_from_mentions(mentions, n_parts: int):
-    """Mention ``(text, label)`` rows -> ``(pairs, canon_map, mention
-    node partials)``: block counts, one sum exchange, driver resolve."""
-    surfaces = mentions.map_batches(count_surfaces, batch_format="pyarrow")
-    return resolve_surfaces(_sum_exchange(surfaces, SURFACE_COUNTS_SCHEMA, n_parts))
-
-
-def _nodes_from_linked(linked, canon_map: dict, mention_partials, n_parts: int):
-    """Linked triple endpoints + the mention node partials -> the node
-    table: one sum exchange, then one reduce on the driver."""
-    import pyarrow as pa
-
-    endpoints = linked.map_batches(
-        canonize_triple_endpoints,
-        fn_kwargs={"canon_map": canon_map},
-        batch_format="pyarrow",
-    )
-    return reduce_nodes(
-        pa.concat_tables(
-            [mention_partials, _sum_exchange(endpoints, NODE_PARTIALS_SCHEMA, n_parts)]
-        )
-    )
-
-
 # layout version of the downstream checkpoints (schema or column meaning,
 # e.g. which doc ids edge provenance keeps), part of their config: a
 # stage written under another layout is recomputed, not reused
-_TAIL_LAYOUT = 3
+_TAIL_LAYOUT = 4
+
+# Parquet bytes of all shards' triple partials (as their manifests
+# record them) under which the edges stage merges them on the driver.
+# Distinct triples grow with the corpus, so above it the edge reduce
+# stays a distributed keyed exchange.
+_DRIVER_MERGE_BYTES = 64 << 20
+
+_EDGE_KEY = ["subj_canon", "pred", "obj_canon"]
+_ENDPOINT_COLS = [
+    "subj", "obj", "subj_label", "obj_label", "subj_qid", "obj_qid", "count",
+]
+
+
+def _read_parts(paths: list[str], schema: pa.Schema, columns=None) -> pa.Table:
+    """Part files -> one Arrow table on the driver (typed when empty)."""
+    return pads.dataset(paths, schema=schema, format="parquet").to_table(columns=columns)
+
+
+def _sum_surfaces(counts: pa.Table) -> pa.Table:
+    """Every write task's ``(text, label, count)`` rows -> one row per
+    distinct surface, sorted."""
+    summed = counts.group_by(["text", "label"]).aggregate([("count", "sum")])
+    return (
+        summed.select(["text", "label", "count_sum"])
+        .rename_columns(SURFACE_COUNTS_SCHEMA.names)
+        .sort_by([("text", "ascending"), ("label", "ascending")])
+    )
+
+
+def _reduce_nodes(mention_partials: pa.Table, triple_partials, canon_map: dict) -> pa.Table:
+    """The mention node partials + the ambiguous endpoints of each
+    triple-partial table (weighted by ``count``) -> the node table."""
+    endpoints = [canonize_triple_endpoints(t, canon_map) for t in triple_partials]
+    return reduce_nodes(pa.concat_tables([mention_partials, *endpoints]))
+
+
+def _edges_exchange(paths: list[str], canon_map: dict, reduce_parts: int):
+    """The edges above the bound: triple partials -> canon rewrite ->
+    keyed exchange on the edge key -> sort, all distributed."""
+    import ray.data as rd
+
+    # imported here, not at module top, so importing this module does
+    # not load the join stages
+    from gliner_cpp_ray.stages.joins import keyed_exchange
+
+    partial = (
+        rd.read_parquet(paths, file_extensions=["parquet"])
+        if paths
+        else rd.from_arrow(TRIPLE_PARTIALS_SCHEMA.empty_table())
+    ).map_batches(
+        rewrite_partials_to_canon,
+        fn_kwargs={"canon_map": canon_map},
+        batch_format="pyarrow",
+    )
+    # the repartition COALESCES the partial stream so the all-to-all
+    # shuffles a handful of blocks, not hundreds of slivers (measured
+    # 10x on the stage wall time at 2M pages)
+    return keyed_exchange(
+        partial.repartition(reduce_parts), _EDGE_KEY, reduce_edge_bucket, reduce_parts,
+    ).sort(_EDGE_KEY)
 
 
 def _run_downstream(out_root: str, cfg: KGPipelineConfig, reduce_parts: int) -> dict:
-    """Stages 2-5 (linked, canon, edges, nodes) over whatever mention
-    shards exist under ``out_root``.  Checkpoint configs embed the
-    mentions lineage: any change to the mention set re-runs them."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    summary: dict = {}
+    """Stages 2-5 (linked, canon, edges, nodes) over the parts of every
+    finished mentions shard under ``out_root``.  Checkpoint configs embed
+    the mentions lineage: any change to the mention set re-runs them."""
+    shards = _finished_shards(out_root, cfg)
     stage_cfg = {
         **cfg.fingerprint(),
-        "mentions": _mentions_lineage(out_root),
+        "mentions": [
+            [name, m.get("total_rows", 0), m.get("total_bytes", 0)]
+            for name, m in shards
+        ],
         "tail": _TAIL_LAYOUT,
     }
+    parts = {kind: [] for kind in _PART_KINDS}
+    for name, m in shards:
+        shard_dir = os.path.join(out_root, "mentions", name)
+        for entry in m.get("parts", []):
+            kind = os.path.basename(entry["file"]).split("-", 1)[0]
+            parts[kind].append(
+                (name, os.path.normpath(os.path.join(shard_dir, entry["file"])), entry["bytes"])
+            )
 
-    try:
-        _ncpu = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        _ncpu = 8
-    # task granularity for downstream scans: a handful of tasks per CPU
-    # (hundreds of ~100ms tasks pay more dispatch than compute)
-    _scan_blocks = max(8, 4 * _ncpu)
+    def paths(kind):
+        return [p for _, p, _ in parts[kind]]
 
-    def run_pair(jobs):
-        """jobs: [(summary_key, dir, manifest, producer)] — as two
-        concurrently-executing Datasets when the cluster has >= 16 CPUs,
-        else sequentially: on small clusters two competing streaming
-        executors thrash each other."""
-        if _ncpu >= 16 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-                futs = [
-                    (key, pool.submit(checkpoint.run_stage, d, m, prod))
-                    for key, d, m, prod in jobs
-                ]
-                for key, fut in futs:
-                    summary[key] = fut.result()
-        else:
-            for key, d, m, prod in jobs:
-                summary[key] = checkpoint.run_stage(d, m, prod)
+    summary: dict = {}
 
-    def read_stage(name, schema, columns=None):
-        path = os.path.join(out_root, name)
-        if not any(
-            f.endswith(".parquet")
-            for root, _, names in os.walk(path)
-            for f in names
-        ):
-            # a fully-filtered corpus produces no files; keep the typed
-            # schema so downstream transforms still resolve columns
-            import pyarrow as pa
-
-            fields = [f for f in schema if columns is None or f.name in columns]
-            return rd.from_arrow(pa.schema(fields).empty_table())
-        # prune at the read: checkpoints are re-scanned by several
-        # downstream stages, each needing only a few columns
-        return rd.read_parquet(
-            path,
-            file_extensions=["parquet"],
-            columns=columns,
-            override_num_blocks=_scan_blocks,
+    def run(stage, producer):
+        summary[stage] = checkpoint.run_stage(
+            os.path.join(out_root, stage), {"stage": stage, "config": stage_cfg}, producer
         )
 
-    # --- stage 2: triples + linking -----------------------------------
-    linked_dir = os.path.join(out_root, "linked")
-
+    # --- stage 2: linked rows, written by the shards ------------------
     def produce_linked(path):
-        mentions = read_stage("mentions", MENTIONS_SCHEMA)
-        triples = mentions.map_batches(extract_relations, batch_format="pyarrow")
-        # cheap-state stage -> plain tasks with a cached per-process
-        # linker (no actor-pool spin-up; see linking.default_linker)
-        linked = triples.map_batches(link_triples, batch_format="pyarrow")
-        linked.write_parquet(path, min_rows_per_file=200_000)
-        return {"input": "mentions", "dataset_stats": _trim_stats(linked)}
+        for name, src, _ in parts["linked"]:
+            os.link(src, os.path.join(path, f"{name}-{os.path.basename(src)}"))
+        return {"input": "parts"}
+
+    run("linked", produce_linked)
 
     # --- stage 3: canon map + mention node partials --------------------
-    # the only downstream reader of the mention surfaces: one scan, one
-    # sum exchange, then everything else on the vocabulary-sized table
     canon_dir = os.path.join(out_root, "canon")
     canon_pkl = os.path.join(canon_dir, "canon_map.pkl")
     mention_nodes = os.path.join(canon_dir, "mention_nodes.parquet")
 
     def produce_canon(path):
-        pairs, canon_map, partials = _canon_from_mentions(
-            read_stage("mentions", MENTIONS_SCHEMA, columns=["text", "label"]),
-            reduce_parts,
+        pairs, canon_map, partials = resolve_surfaces(
+            _sum_surfaces(_read_parts(paths("surfaces"), SURFACE_COUNTS_SCHEMA))
         )
         pq.write_table(partials, mention_nodes)
         with open(canon_pkl, "wb") as f:
             pickle.dump(canon_map, f)
         return {"n_pairs": pairs.num_rows, "n_canon": len(set(canon_map["qid"].values()))}
 
-    # linked and canon both depend only on mentions
-    run_pair(
-        [
-            ("linked", linked_dir, {"stage": "linked", "config": stage_cfg}, produce_linked),
-            ("canon", canon_dir, {"stage": "canon", "config": stage_cfg}, produce_canon),
-        ]
-    )
+    run("canon", produce_canon)
     with open(canon_pkl, "rb") as f:
         canon_map = pickle.load(f)
 
-    # --- stage 4: edges (canon rewrite -> dedup count -> sort) --------
-    edges_dir = os.path.join(out_root, "edges")
-
-    linked_schema = list(TRIPLES_SCHEMA) + [
-        __import__("pyarrow").field(n, t) for n, t in LINKED_EXTRA
-    ]
-
-    _EDGE_COLS = [
-        "doc_id", "subj", "pred", "obj", "subj_label", "obj_label",
-        "subj_qid", "obj_qid",
-    ]
-    _EDGE_KEY_COLS = ["subj_canon", "pred", "obj_canon"]
-    _ENDPOINT_COLS = [
-        "subj", "obj", "subj_label", "obj_label", "subj_qid", "obj_qid",
-    ]
-
+    # --- stage 4: edges (canon rewrite -> reduce -> key sort) ---------
     def produce_edges(path):
-        # imported here, not at module top, so importing this module
-        # does not load the join stages
-        from gliner_cpp_ray.stages.joins import keyed_exchange
-
-        linked = read_stage("linked", linked_schema, columns=_EDGE_COLS)
-        partial = linked.map_batches(
-            rewrite_triples_to_canon,
-            fn_kwargs={"canon_map": canon_map},
-            batch_format="pyarrow",
-        )
-        # keyed_exchange on the triple key: one vectorized
-        # reduce_edge_bucket per hash bucket, not one map_groups call per
-        # distinct triple.  The repartition first COALESCES the
-        # post-combiner partial stream (tiny rows spread over ~4·CPU scan
-        # blocks) so the all-to-all shuffles a handful of blocks, not
-        # hundreds of slivers — measured 10x on the stage wall time at 2M
-        # pages.  Distinct edges are not vocabulary-bounded, so this
-        # reduce stays distributed.
-        edges = keyed_exchange(
-            partial.repartition(reduce_parts),
-            _EDGE_KEY_COLS, reduce_edge_bucket, reduce_parts,
-        ).sort("subj_canon")
+        if sum(b for _, _, b in parts["triples"]) < _DRIVER_MERGE_BYTES:
+            partial = rewrite_partials_to_canon(
+                _read_parts(paths("triples"), TRIPLE_PARTIALS_SCHEMA), canon_map
+            )
+            pq.write_table(reduce_edges(partial), os.path.join(path, "edges.parquet"))
+            return {"input": "parts", "merge": "driver"}
+        edges = _edges_exchange(paths("triples"), canon_map, reduce_parts)
         edges.write_parquet(path)
-        return {"input": "linked", "dataset_stats": _trim_stats(edges)}
+        return {"input": "parts", "merge": "exchange", "dataset_stats": _trim_stats(edges)}
+
+    run("edges", produce_edges)
 
     # --- stage 5: nodes ----------------------------------------------
-    nodes_dir = os.path.join(out_root, "nodes")
-
     def produce_nodes(path):
-        nodes = _nodes_from_linked(
-            read_stage("linked", linked_schema, columns=_ENDPOINT_COLS),
-            canon_map,
+        # one part file at a time: each file's endpoint partials are
+        # bounded by the vocabulary, the triple partials together are not
+        nodes = _reduce_nodes(
             pq.read_table(mention_nodes),
-            reduce_parts,
+            (
+                _read_parts([p], TRIPLE_PARTIALS_SCHEMA, _ENDPOINT_COLS)
+                for p in paths("triples")
+            ),
+            canon_map,
         )
         pq.write_table(nodes, os.path.join(path, "nodes.parquet"))
-        return {"input": "linked"}
+        return {"input": "parts"}
 
-    run_pair(
-        [
-            ("edges", edges_dir, {"stage": "edges", "config": stage_cfg}, produce_edges),
-            ("nodes", nodes_dir, {"stage": "nodes", "config": stage_cfg}, produce_nodes),
-        ]
-    )
+    run("nodes", produce_nodes)
     return summary

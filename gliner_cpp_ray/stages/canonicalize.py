@@ -1,22 +1,31 @@
 """Canonicalization (B9/B10) + graph materialization (B11-B13).
 
-1. ``count_surfaces`` — per-block ``(text, label, count)`` combiner; a
-   sum exchange merges the blocks into a vocabulary-bounded table.
-2. ``resolve_surfaces`` — driver-side: links each distinct surface once,
-   derives the distinct ``(norm_surface, label, qid)`` pairs and runs
-   ``build_canon_map``, a union-find (state/union_find.py) over surfaces
-   and qids with a deterministic ``canon_id`` per component; it also
-   emits the mention node partials.
-3. ``rewrite_triples_to_canon`` — per-block edge partials, merged by
-   ``reduce_edge_bucket`` behind one ``keyed_exchange`` on the triple
-   key and sorted by subject (B13).
-4. ``canonize_triple_endpoints`` — node partials of context-resolved
-   ambiguous endpoints; with the mention partials they reduce once on
-   the driver (``reduce_nodes``), under the same vocabulary bound.
+Every aggregate is a sum or a capped sorted set over RAW keys, so each
+mentions write task computes its partials before any canon map exists:
 
-``collect_surface_pairs`` and ``canonize_mentions`` are the per-block
-forms of step 2, kept for the benchmark's in-process replay and the
-tail's test oracle (tests/oracle_kg_tail.py).
+1. ``count_surfaces`` — ``(text, label, count)`` per distinct surface;
+   ``count_triples`` — per distinct raw triple ``(subj, subj_label,
+   subj_qid, pred, obj, obj_label, obj_qid)``, its count and smallest
+   ``_PROVENANCE_CAP`` distinct doc ids.
+2. ``resolve_surfaces`` — driver-side over the summed surface counts:
+   links each distinct surface once, derives the distinct
+   ``(norm_surface, label, qid)`` pairs and runs ``build_canon_map``, a
+   union-find (state/union_find.py) over surfaces and qids with a
+   deterministic ``canon_id`` per component; it also emits the mention
+   node partials.
+3. ``rewrite_partials_to_canon`` — triple partials -> edge partials,
+   merged by ``reduce_edge_bucket`` (``reduce_edges`` on the driver, or
+   behind one ``keyed_exchange`` on the triple key) and sorted by key
+   (B13).
+4. ``canonize_triple_endpoints`` — node partials of context-resolved
+   ambiguous endpoints (weighted by the partials' ``count``); with the
+   mention partials they reduce once on the driver (``reduce_nodes``),
+   under the same vocabulary bound.
+
+``collect_surface_pairs``, ``canonize_mentions`` and
+``rewrite_triples_to_canon`` are the per-block forms over mention and
+linked rows, kept for the benchmark's in-process replay and the tail's
+test oracle (tests/oracle_kg_tail.py).
 """
 
 from __future__ import annotations
@@ -58,6 +67,16 @@ EDGE_PARTIALS_SCHEMA = pa.schema(
         ("count", pa.int64()),
         ("prov", pa.list_(pa.string())),
     ]
+)
+
+# one row per distinct raw triple (endpoint labels and qids included):
+# its occurrence count and smallest ``_PROVENANCE_CAP`` distinct doc ids
+TRIPLE_KEY = [
+    "subj", "subj_label", "subj_qid", "pred", "obj", "obj_label", "obj_qid",
+]
+TRIPLE_PARTIALS_SCHEMA = pa.schema(
+    [(k, pa.string()) for k in TRIPLE_KEY]
+    + [("count", pa.int64()), ("prov", pa.list_(pa.string()))]
 )
 
 # one row per distinct mention surface, with its occurrence count
@@ -234,6 +253,50 @@ def rewrite_triples_to_canon(batch: pa.Table, canon_map: dict) -> pa.Table:
     )
 
 
+def count_triples(batch: pa.Table) -> pa.Table:
+    """linked triples -> raw-key triple partials (TRIPLE_PARTIALS_SCHEMA):
+    per distinct ``TRIPLE_KEY``, its count and smallest
+    ``_PROVENANCE_CAP`` distinct doc ids.  Needs no canon map, so a
+    mentions write task computes it beside its linked rows."""
+    if batch.num_rows == 0:
+        return TRIPLE_PARTIALS_SCHEMA.empty_table()
+    # fold the key columns' dictionary codes one at a time, re-densifying
+    # after each, so the combined code stays below rows**2
+    code = np.zeros(batch.num_rows, dtype=np.int64)
+    for k in TRIPLE_KEY:
+        ci, cd = _dict_codes(batch.column(k))
+        _, code = np.unique(code * len(cd) + ci, return_inverse=True)
+    _, first, counts = np.unique(code, return_index=True, return_counts=True)
+    keys = batch.select(TRIPLE_KEY).take(pa.array(first))
+    return keys.append_column(
+        "count", pa.array(counts.astype(np.int64))
+    ).append_column(
+        "prov", _smallest_docs(batch.column("doc_id"), code, len(first))
+    ).cast(TRIPLE_PARTIALS_SCHEMA)
+
+
+def rewrite_partials_to_canon(batch: pa.Table, canon_map: dict) -> pa.Table:
+    """Triple partials -> edge partials (EDGE_PARTIALS_SCHEMA), one row
+    per partial row: both endpoints rewritten to their canon ids, count
+    and provenance kept.  ``reduce_edge_bucket`` merges them."""
+    if batch.num_rows == 0:
+        return EDGE_PARTIALS_SCHEMA.empty_table()
+    canon_vocab: dict[str, int] = {}
+    subj_c = _canon_codes(canon_map, batch, "subj", "subj_label", "subj_qid", canon_vocab)
+    obj_c = _canon_codes(canon_map, batch, "obj", "obj_label", "obj_qid", canon_vocab)
+    names = pa.array(sorted(canon_vocab, key=canon_vocab.get), pa.string())
+    return pa.table(
+        {
+            "subj_canon": names.take(pa.array(subj_c)),
+            "pred": batch.column("pred"),
+            "obj_canon": names.take(pa.array(obj_c)),
+            "count": batch.column("count"),
+            "prov": batch.column("prov"),
+        },
+        schema=EDGE_PARTIALS_SCHEMA,
+    )
+
+
 def _smallest_docs(doc_ids: pa.ChunkedArray, group: np.ndarray,
                    n_groups: int) -> pa.ListArray:
     """Per group (row -> ``group`` code in [0, n_groups)), the sorted
@@ -292,6 +355,18 @@ def reduce_edge_bucket(g: pd.DataFrame) -> pd.DataFrame:
     )
     agg["weight"] = agg["weight"].astype(np.int64)
     return agg[["subj_canon", "pred", "obj_canon", "weight", "provenance"]]
+
+
+def reduce_edges(partials: pa.Table) -> pa.Table:
+    """Every edge partial of a corpus -> its edge table (EDGES_SCHEMA),
+    sorted by ``(subj_canon, pred, obj_canon)``: one whole-table
+    ``reduce_edge_bucket`` call on the driver."""
+    if partials.num_rows == 0:
+        return EDGES_SCHEMA.empty_table()
+    edges = reduce_edge_bucket(partials.to_pandas())
+    return pa.Table.from_pandas(
+        edges, schema=EDGES_SCHEMA, preserve_index=False
+    ).sort_by([(k, "ascending") for k in _EDGE_KEY])
 
 
 def count_surfaces(batch: pa.Table) -> pa.Table:
@@ -372,23 +447,31 @@ def canonize_triple_endpoints(batch: pa.Table, canon_map: dict) -> pa.Table:
     surface cluster.  Triple endpoints, however, were context-resolved
     by the linker — register their canon entities as nodes so every
     edge endpoint has a node row (referential integrity), counting the
-    triple occurrences they appear in."""
+    triple occurrences they appear in.  Rows of triple partials count
+    ``count`` occurrences each; linked rows count one."""
     linker = default_linker()
+    weight = (
+        batch.column("count").to_numpy()
+        if "count" in batch.column_names
+        else np.ones(batch.num_rows, dtype=np.int64)
+    )
     # vectorized combiner: count per distinct (surface, label, qid)
     # endpoint first (pandas), then resolve ambiguity/canon only over the
     # batch-distinct keys — the Python loop never touches raw rows
     frames = []
     for side in ("subj", "obj"):
-        frames.append(
+        frame = (
             batch.select([side, side + "_label", side + "_qid"])
             .rename_columns(["surface", "label", "qid"])
             .to_pandas()
         )
+        frame["n"] = weight
+        frames.append(frame)
     df = pd.concat(frames, ignore_index=True)
     vc = (
         df[df["qid"] != ""]
-        .groupby(["surface", "label", "qid"], sort=True)
-        .size()
+        .groupby(["surface", "label", "qid"], sort=True)["n"]
+        .sum()
     )
     agg: dict[tuple[str, str, str], int] = {}
     for (surface, label, qid), n in vc.items():

@@ -51,6 +51,14 @@ from gliner_cpp_ray.stages.sizing import default_buckets
 _KNUTH = np.uint64(2654435761)
 
 
+def _nul_free(col):
+    """``col`` with NUL mapped to ``"\\x01"`` if it holds strings: the
+    pandas hash stops at a string's first NUL."""
+    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        return pc.replace_substring(col, "\x00", "\x01")
+    return col
+
+
 def add_group_bucket(batch: pa.Table, keys: list[str], n_buckets: int,
                      out_col: str = "__bucket") -> pa.Table:
     """THE bucket hash of every key-hash exchange: all-integer key
@@ -64,12 +72,7 @@ def add_group_bucket(batch: pa.Table, keys: list[str], n_buckets: int,
     ``"\\x01"`` first: equal keys still meet, NUL-free keys keep their
     bucket, and a collision with a real ``"\\x01"`` only shares a bucket
     (every reduce is key-local)."""
-    cols = [
-        pc.replace_substring(c, "\x00", "\x01")
-        if pa.types.is_string(c.type) or pa.types.is_large_string(c.type)
-        else c
-        for c in (batch.column(k) for k in keys)
-    ]
+    cols = [_nul_free(batch.column(k)) for k in keys]
     if all(pa.types.is_integer(c.type) for c in cols):
         h = np.zeros(batch.num_rows, dtype=np.uint64)
         for c in cols:
@@ -491,7 +494,8 @@ _SPLITMIX_2 = np.uint64(0x94D049BB133111EB)
 def _key_hash_u64(col) -> np.ndarray:
     """Stable full-width u64 hash of a key column: splitmix64 finalizer
     for integers (public-domain mixing constants), the process-stable
-    pandas hash otherwise — same family ``add_group_bucket`` uses."""
+    pandas hash otherwise (NUL mapped as in ``add_group_bucket``) — the
+    same family ``add_group_bucket`` uses."""
     with np.errstate(over="ignore"):
         if pa.types.is_integer(col.type):
             z = col.cast(pa.int64()).to_numpy(zero_copy_only=False).astype(
@@ -501,7 +505,7 @@ def _key_hash_u64(col) -> np.ndarray:
             z = (z ^ (z >> np.uint64(27))) * _SPLITMIX_2
             return z ^ (z >> np.uint64(31))
         return pd.util.hash_pandas_object(
-            col.to_pandas(), index=False
+            _nul_free(col).to_pandas(), index=False
         ).to_numpy().astype(np.uint64)
 
 

@@ -127,6 +127,21 @@ def test_nul_in_string_keys_does_not_collapse_buckets():
     ]
 
 
+def test_bloom_key_hash_keeps_bytes_after_nul():
+    # the Bloom prefilter's key hash: without the NUL substitution all 64
+    # keys get one hash, so every one passes the prefilter
+    from gliner_cpp_ray.stages.joins import _key_hash_u64
+
+    keys = pa.array([f"a\x00{i}" for i in range(64)])
+    assert len(set(_key_hash_u64(keys).tolist())) >= 60
+    # NUL-free keys keep exactly the hashes they had before
+    plain = pa.array(["a", "bb", "été", "", "k17", "http://x.org/p?q=1"])
+    assert _key_hash_u64(plain).tolist() == [
+        13950350942979735504, 618927398078992371, 5908516111345628981,
+        1760245841805064774, 3432087725838773636, 6929932849343994341,
+    ]
+
+
 def _sides() -> tuple[pa.Table, pa.Table]:
     rng = np.random.default_rng(7)
     lt = _rows(500)

@@ -203,28 +203,36 @@ def test_checkpoint_invalidates_on_config_change(tmp_path):
     assert len(calls) == 2  # changed config -> recomputed
 
 
-def test_pipeline_with_fully_filtered_corpus(ray_session, corpus_dir, tmp_path_factory):
+def test_pipeline_with_fully_filtered_corpus(
+    ray_session, corpus_dir, tmp_path_factory, monkeypatch
+):
     """A lang allowlist matching nothing must still complete every stage
-    (empty, typed outputs) rather than crash on missing files."""
-    out = str(tmp_path_factory.mktemp("kg_empty"))
-    cfg = KGPipelineConfig(lang_allow=("xx",), ner_concurrency=(1, 2), shards=1)
-    summary = run_kg_pipeline(os.path.join(corpus_dir, "pages"), out, cfg)
-    assert summary["mentions"]["rows"] == 0
-    for stage in ["linked", "canon", "edges", "nodes"]:
-        assert os.path.exists(os.path.join(out, stage, "_SUCCESS"))
-
-    # the tail's oracle over no blocks: an empty, typed node table
+    (empty, typed outputs) rather than crash on missing files, with the
+    edges merged on the driver (bound inf) and by the exchange (bound 0)."""
     import pickle
 
+    from gliner_cpp_ray.pipelines import kg
     from tests.oracle_kg_tail import canon_oracle, edges_oracle, nodes_oracle
 
+    out = str(tmp_path_factory.mktemp("kg_empty"))
+    cfg = KGPipelineConfig(lang_allow=("xx",), ner_concurrency=(1, 2), shards=1)
     pairs, canon_map = canon_oracle([])
-    with open(os.path.join(out, "canon", "canon_map.pkl"), "rb") as f:
-        assert pickle.load(f) == canon_map
-    assert summary["canon"]["n_pairs"] == pairs.num_rows == 0
-    assert _table(out, "nodes").equals(nodes_oracle([], [], canon_map))
-    edges = _files(out, "edges")
-    assert not edges or _table(out, "edges").num_rows == edges_oracle([], canon_map).num_rows
+    for bound in (float("inf"), 0):
+        monkeypatch.setattr(kg, "_DRIVER_MERGE_BYTES", bound)
+        _drop_tail(out)
+        summary = run_kg_pipeline(os.path.join(corpus_dir, "pages"), out, cfg)
+        assert summary["mentions"]["rows"] == 0
+        for stage in TAIL_STAGES:
+            assert os.path.exists(os.path.join(out, stage, "_SUCCESS"))
+        assert summary["edges"]["merge"] == ("driver" if bound else "exchange")
+
+        # the tail's oracle over no blocks: an empty, typed node table
+        with open(os.path.join(out, "canon", "canon_map.pkl"), "rb") as f:
+            assert pickle.load(f) == canon_map
+        assert summary["canon"]["n_pairs"] == pairs.num_rows == 0
+        assert _table(out, "nodes").equals(nodes_oracle([], [], canon_map))
+        edges = _files(out, "edges")
+        assert not edges or _table(out, "edges").num_rows == edges_oracle([], canon_map).num_rows
 
 
 def test_token_level_ner_stage_matches_oracle(ray_session, corpus_dir):
@@ -406,18 +414,21 @@ def _scan_blocks(tbl, ray_session):
     ]
 
 
-def test_tail_matches_oracle(ray_session, pipeline_out):
-    """Canon map, nodes (every column, aliases included) and edges
-    (provenance included) equal the replay of the kept stage functions
-    over the run's own checkpoints.  Every tail aggregate is
-    blocking-independent, so the replay reads each table as one block."""
+TAIL_STAGES = ["linked", "canon", "edges", "nodes"]
+
+
+def _drop_tail(out):
+    for stage in TAIL_STAGES:
+        shutil.rmtree(os.path.join(out, stage), ignore_errors=True)
+
+
+def _assert_tail_matches_oracle(out):
     import pickle
 
     from tests.oracle_kg_tail import (
         EDGE_KEY, canon_oracle, edges_oracle, nodes_oracle,
     )
 
-    out, _, _ = pipeline_out
     mentions = _table(out, "mentions").select(["text", "label"])
     linked = _table(out, "linked")
 
@@ -438,6 +449,28 @@ def test_tail_matches_oracle(ray_session, pipeline_out):
     want_e = edges_oracle([linked], canon_map)
     assert edges.num_rows == want_e.num_rows > 0
     assert _key_sorted(edges, EDGE_KEY).equals(want_e)
+    return edges
+
+
+def test_tail_matches_oracle(ray_session, pipeline_out, tmp_path_factory, monkeypatch):
+    """Canon map, nodes (every column, aliases included) and edges
+    (provenance included) equal the replay of the kept stage functions
+    over the run's own checkpoints, with the edges merged on the driver
+    (bound inf) and by the keyed exchange (bound 0).  Every tail
+    aggregate is blocking-independent, so the replay reads each table as
+    one block."""
+    from gliner_cpp_ray.pipelines import kg
+
+    copy, corpus = _copy_out(pipeline_out, tmp_path_factory, "kg_tail")
+    cfg = KGPipelineConfig(ner_concurrency=(1, 2), link_concurrency=(1, 2), shards=2)
+    for bound, merge in ((float("inf"), "driver"), (0, "exchange")):
+        monkeypatch.setattr(kg, "_DRIVER_MERGE_BYTES", bound)
+        _drop_tail(copy)
+        summary = run_kg_pipeline(os.path.join(corpus, "pages"), copy, cfg)
+        assert summary["edges"]["merge"] == merge
+        edges = _assert_tail_matches_oracle(copy)
+        subj = edges.column("subj_canon").to_pylist()
+        assert subj == sorted(subj)  # sorted at the sink (B13)
 
 
 def test_edge_provenance_ignores_blocking_and_row_order(ray_session, pipeline_out):
@@ -505,21 +538,34 @@ def _synthetic_endpoints():
     return [block([vic_ca, vic_kyiv]), block([vic_ca]), block([])]
 
 
-def test_tail_driver_reduce_matches_oracle_on_synthetic_tables(ray_session):
+def test_tail_driver_reduce_matches_oracle_on_synthetic_tables():
     """The alias cap, a modal-label tie and one canon_id fed by both
-    mention and endpoint partials, through the pipeline's own exchange
-    and driver reduce."""
-    import ray.data as rd
+    mention and endpoint partials, through the pipeline's own partials
+    and driver merges: per-block surface counts summed, and endpoint
+    partials of one triple-partial table whose rows count several
+    triples."""
+    import pyarrow as pa
 
-    from gliner_cpp_ray.pipelines.kg import _canon_from_mentions, _nodes_from_linked
+    from gliner_cpp_ray.pipelines.kg import _reduce_nodes, _sum_surfaces
+    from gliner_cpp_ray.stages.canonicalize import (
+        count_surfaces, count_triples, resolve_surfaces,
+    )
     from tests.oracle_kg_tail import canon_oracle, nodes_oracle
 
     mentions, endpoints = _synthetic_mentions(), _synthetic_endpoints()
-    pairs, canon_map, partials = _canon_from_mentions(rd.from_arrow(mentions), 4)
+    pairs, canon_map, partials = resolve_surfaces(
+        _sum_surfaces(pa.concat_tables([count_surfaces(b) for b in mentions]))
+    )
     want_pairs, want_map = canon_oracle(mentions)
     assert pairs.equals(want_pairs)
     assert canon_map == want_map
-    nodes = _nodes_from_linked(rd.from_arrow(endpoints), canon_map, partials, 4)
+    linked = pa.concat_tables(endpoints)
+    linked = linked.append_column(
+        "pred", pa.array(["located_in"] * linked.num_rows)
+    ).append_column("doc_id", pa.array([f"d{i}" for i in range(linked.num_rows)]))
+    triples = count_triples(linked)
+    assert triples.num_rows < linked.num_rows  # some row counts several triples
+    nodes = _reduce_nodes(partials, [triples], canon_map)
     assert nodes.equals(nodes_oracle(mentions, endpoints, want_map))
 
     by_id = {r["canon_id"]: r for r in nodes.to_pylist()}
@@ -570,43 +616,213 @@ def test_tail_checkpoint_of_another_layout_is_recomputed(pipeline_out, tmp_path_
     )
 
 
-def test_downstream_scans_mentions_once_for_surfaces(
+def test_downstream_under_bound_reads_no_parquet_through_ray(
     pipeline_out, tmp_path_factory, monkeypatch
 ):
-    """``mentions`` is read twice per downstream run — all columns for
-    linked, ``text``/``label`` for canon — and the nodes stage reads
-    only ``linked``."""
+    """Under the driver-merge bound the downstream stages read only the
+    shards' parts, on the driver: no ``ray.data.read_parquet`` at all."""
     import ray.data as rd
 
-    from gliner_cpp_ray.state import checkpoint
-
     copy, corpus = _copy_out(pipeline_out, tmp_path_factory, "kg_scans")
-    for stage in ["linked", "canon", "edges", "nodes"]:
-        shutil.rmtree(os.path.join(copy, stage))
-
-    current = []
+    _drop_tail(copy)
     reads = []
-    real_run_stage, real_read = checkpoint.run_stage, rd.read_parquet
-
-    def run_stage(path, manifest, producer):
-        current.append(manifest["stage"])
-        try:
-            return real_run_stage(path, manifest, producer)
-        finally:
-            current.pop()
+    real_read = rd.read_parquet
 
     def read_parquet(paths, *args, **kwargs):
-        rel = os.path.relpath(str(paths), copy).split(os.sep)[0]
-        reads.append((current[-1] if current else None, rel, kwargs.get("columns")))
+        reads.append(paths)
         return real_read(paths, *args, **kwargs)
 
-    monkeypatch.setattr(checkpoint, "run_stage", run_stage)
     monkeypatch.setattr(rd, "read_parquet", read_parquet)
     cfg = KGPipelineConfig(ner_concurrency=(1, 2), link_concurrency=(1, 2), shards=2)
-    run_kg_pipeline(os.path.join(corpus, "pages"), copy, cfg)
+    summary = run_kg_pipeline(os.path.join(corpus, "pages"), copy, cfg)
+    assert summary["edges"]["merge"] == "driver"
+    assert reads == []
+    for stage in TAIL_STAGES:
+        assert os.path.exists(os.path.join(copy, stage, "_SUCCESS"))
 
-    assert [r for r in reads if r[1] == "mentions"] == [
-        ("linked", "mentions", None),
-        ("canon", "mentions", ["text", "label"]),
-    ]
-    assert {r[1] for r in reads if r[0] == "nodes"} == {"linked"}
+
+def test_edge_provenance_at_cap_over_shards_and_write_tasks(
+    ray_session, corpus_dir, pipeline_out, tmp_path_factory, monkeypatch
+):
+    """Edges whose supporting docs (more than 8) are spread over two
+    shards and several write tasks per shard keep the smallest 8 of all
+    of them: the same nodes and edges (provenance included) as the
+    fixture run, whose shards are one write task each."""
+    from gliner_cpp_ray.pipelines import kg
+
+    out_full, _, _ = pipeline_out
+    out = str(tmp_path_factory.mktemp("kg_tasks"))
+    # 16-doc NER blocks, bundled into write tasks of >= 300 mention rows
+    monkeypatch.setattr(kg, "_ROWS_PER_WRITE", 300)
+    cfg = KGPipelineConfig(
+        ner_batch_size=16, ner_concurrency=(1, 2), link_concurrency=(1, 2), shards=2
+    )
+    run_kg_pipeline(os.path.join(corpus_dir, "pages"), out, cfg)
+
+    shard_of = {}  # doc id -> shard
+    for k in range(2):
+        with open(os.path.join(out, "mentions", f"shard-{k}", "manifest.json")) as f:
+            m = json.load(f)
+        triples = [e for e in m["parts"] if os.path.basename(e["file"]).startswith("triples-")]
+        assert len(triples) > 1, "each shard must span several write tasks"
+        mentions = _table(os.path.join(out, "mentions"), f"shard-{k}")
+        shard_of.update(dict.fromkeys(mentions.column("doc_id").to_pylist(), k))
+
+    import pickle
+
+    from tests.oracle_kg_tail import EDGE_KEY, edges_oracle
+
+    with open(os.path.join(out, "canon", "canon_map.pkl"), "rb") as f:
+        canon_map = pickle.load(f)
+    edges = _key_sorted(_table(out, "edges"), EDGE_KEY)
+    assert edges.equals(edges_oracle([_table(out, "linked")], canon_map))
+    assert edges.equals(_key_sorted(_table(out_full, "edges"), EDGE_KEY))
+    assert _table(out, "nodes").equals(_table(out_full, "nodes"))
+    capped = [p for p in edges.column("provenance").to_pylist() if len(p) == 8]
+    assert capped
+    # some capped edge keeps docs of both shards
+    assert any(len({shard_of[d] for d in p}) == 2 for p in capped)
+
+
+# --- verified checkpoints and per-shard parts ---------------------------
+
+def _shard_part(out, shard, kind):
+    with open(os.path.join(out, "mentions", shard, "manifest.json")) as f:
+        m = json.load(f)
+    entry = next(
+        e for e in m["parts"] if os.path.basename(e["file"]).startswith(kind + "-")
+    )
+    return os.path.normpath(os.path.join(out, "mentions", shard, entry["file"]))
+
+
+@pytest.mark.parametrize(
+    "fault", ["delete_linked_part", "truncate_triple_partial", "delete_mention_file"]
+)
+def test_rerun_recovers_from_a_file_fault_under_a_finished_shard(
+    pipeline_out, tmp_path_factory, fault
+):
+    """A finished shard whose listed files lost a file or bytes is
+    re-run, not reused; the other shard is reused, and the graph equals
+    an untouched run's."""
+    from gliner_cpp_ray.state import checkpoint
+
+    out, _, _ = pipeline_out
+    copy, corpus = _copy_out(pipeline_out, tmp_path_factory, "kg_fault")
+    shard = os.path.join(copy, "mentions", "shard-1")
+    if fault == "delete_linked_part":
+        os.remove(_shard_part(copy, "shard-1", "linked"))
+    elif fault == "truncate_triple_partial":
+        path = _shard_part(copy, "shard-1", "triples")
+        with open(path, "r+b") as f:
+            f.truncate(os.path.getsize(path) // 2)
+    else:
+        os.remove(_files(os.path.join(copy, "mentions"), "shard-1")[0])
+    with open(os.path.join(shard, "manifest.json")) as f:
+        assert checkpoint._fault(shard, json.load(f)) is not None
+
+    def success_mtime(k):
+        return os.path.getmtime(os.path.join(copy, "mentions", f"shard-{k}", "_SUCCESS"))
+
+    before = [success_mtime(0), success_mtime(1)]
+    cfg = KGPipelineConfig(ner_concurrency=(1, 2), link_concurrency=(1, 2), shards=2)
+    run_kg_pipeline(os.path.join(corpus, "pages"), copy, cfg)
+    assert success_mtime(0) == before[0]
+    assert success_mtime(1) > before[1]
+    with open(os.path.join(shard, "manifest.json")) as f:
+        assert checkpoint._fault(shard, json.load(f)) is None
+
+    key = ["subj_canon", "pred", "obj_canon"]
+    assert _key_sorted(_table(copy, "edges"), key).equals(_key_sorted(_table(out, "edges"), key))
+    assert _table(copy, "nodes").equals(_table(out, "nodes"))
+
+
+def test_shard_of_another_layout_is_recomputed_from_its_inputs(
+    pipeline_out, tmp_path_factory
+):
+    """A finished shard written without the shard layout (so without
+    parts) that no current file group names — e.g. an older delta — is
+    recomputed from its recorded input files before the tail merges."""
+    from gliner_cpp_ray.pipelines.kg import _run_downstream
+
+    out, _, _ = pipeline_out
+    copy, _ = _copy_out(pipeline_out, tmp_path_factory, "kg_old_shard")
+    shard = os.path.join(copy, "mentions", "shard-1")
+    mpath = os.path.join(shard, "manifest.json")
+    with open(mpath) as f:
+        m = json.load(f)
+    del m["config"]["layout"], m["parts"]
+    with open(mpath, "w") as f:
+        json.dump(m, f)
+    shutil.rmtree(os.path.join(copy, "parts", "shard-1"))
+    _drop_tail(copy)
+
+    cfg = KGPipelineConfig(ner_concurrency=(1, 2), link_concurrency=(1, 2), shards=2)
+    _run_downstream(copy, cfg, 8)
+    with open(mpath) as f:
+        assert json.load(f)["parts"]
+    key = ["subj_canon", "pred", "obj_canon"]
+    assert _key_sorted(_table(copy, "edges"), key).equals(_key_sorted(_table(out, "edges"), key))
+    assert _table(copy, "nodes").equals(_table(out, "nodes"))
+
+
+def test_base_and_two_deltas_match_full_recompute(
+    ray_session, corpus_dir, pipeline_out, tmp_path_factory
+):
+    """A base and two delta batches give the linked multiset, canon map,
+    nodes and key-sorted edges (provenance included) of one run over
+    their union; ingesting a delta again rewrites no checkpoint."""
+    import pickle
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from gliner_cpp_ray.pipelines.kg import _pages_files, run_kg_delta
+
+    out_full, _, _ = pipeline_out
+    pages = pa.concat_tables(
+        [pq.read_table(f) for f in _pages_files(os.path.join(corpus_dir, "pages"))]
+    )
+    root = str(tmp_path_factory.mktemp("kg_two_deltas"))
+    os.makedirs(os.path.join(root, "base"))
+    step = -(-pages.num_rows // 4)
+    batches = []
+    for i in range(4):
+        name = os.path.join(root, "base" if i < 2 else "", f"pages-{i}.parquet")
+        pq.write_table(pages.slice(i * step, step), name)
+        batches.append(name)
+    out = os.path.join(root, "out")
+    cfg = KGPipelineConfig(ner_concurrency=(1, 2), link_concurrency=(1, 2), shards=1)
+    run_kg_pipeline(os.path.join(root, "base"), out, cfg)
+    run_kg_delta([batches[2]], out, cfg)
+    run_kg_delta([batches[3]], out, cfg)
+
+    linked = _read(out, "linked")
+    want = _read(out_full, "linked")
+    cols = list(want.columns)
+    pd.testing.assert_frame_equal(
+        linked[cols].sort_values(cols).reset_index(drop=True),
+        want.sort_values(cols).reset_index(drop=True),
+    )
+    for path in (out, out_full):
+        with open(os.path.join(path, "canon", "canon_map.pkl"), "rb") as f:
+            if path == out:
+                canon_map = pickle.load(f)
+            else:
+                assert pickle.load(f) == canon_map
+    assert _table(out, "nodes").equals(_table(out_full, "nodes"))
+    key = ["subj_canon", "pred", "obj_canon"]
+    assert _key_sorted(_table(out, "edges"), key).equals(
+        _key_sorted(_table(out_full, "edges"), key)
+    )
+
+    def success_mtimes():
+        return {
+            os.path.join(d, "_SUCCESS"): os.path.getmtime(os.path.join(d, "_SUCCESS"))
+            for d, _, names in os.walk(out)
+            if "_SUCCESS" in names
+        }
+
+    before = success_mtimes()
+    assert len(before) == 3 + len(TAIL_STAGES)
+    run_kg_delta([batches[3]], out, cfg)
+    assert success_mtimes() == before
