@@ -1,7 +1,8 @@
 """End-to-end KG construction pipeline (north_rule), checkpointed.
 
-    pages ──read_parquet(cols pruned, lang pushdown)──▶ docs (html→text)
-      ──byte-cap rebatch──▶ NER actor pool ──▶ per write task (_ShardSink):
+    pages ──read_parquet (one task per file; cols pruned, lang pushdown)
+      + html→text in the same task ──▶ NER actor pool (NER only)
+      ──▶ per write task (_ShardSink, ~_ROWS_PER_WRITE mention rows):
         mention rows                ──▶ mentions/<shard>/   [checkpoint]
         relations ──▶ linking       ──▶ parts/<shard>/linked-*
         (text, label, count)        ──▶ parts/<shard>/surfaces-*
@@ -31,6 +32,7 @@ import gc
 import json
 import os
 import pickle
+import shutil
 from dataclasses import dataclass, field
 
 import pyarrow as pa
@@ -55,7 +57,6 @@ from gliner_cpp_ray.stages.html_to_text import html_to_docs
 from gliner_cpp_ray.stages.linking import link_triples
 from gliner_cpp_ray.stages.ner import GlinerNERStage
 from gliner_cpp_ray.stages.relations import extract_relations
-from gliner_cpp_ray.stages.repartition import make_byte_capped_rebatcher
 from gliner_cpp_ray.state import checkpoint
 
 
@@ -68,7 +69,6 @@ class KGPipelineConfig:
     ner_num_cpus: float = 1.0
     link_concurrency: tuple[int, int] = (1, 4)
     shards: int = 2  # input-file groups for resumable NER (raise at cluster scale)
-    max_block_bytes: int = 4 * 1024 * 1024
 
     def resolved_reduce_partitions(self, input_bytes: int) -> int:
         """Partition count for the post-combiner shuffles, from INPUT
@@ -109,29 +109,36 @@ def _pages_files(pages_path: str) -> list[str]:
     )
 
 
-def read_pages(paths, lang_allow=("en",), columns=("url", "html", "lang"),
-               num_blocks: int | None = None):
-    """Column-pruned, predicate-pushdown read of the pages table.
+def read_pages(files: list[str], lang_allow=("en",), columns=("url", "html", "lang")):
+    """Column-pruned, predicate-pushdown read of the pages files: one
+    read task (and one block) per file, so a map after it fuses into
+    the read task (Ray 2.49 never fuses a split read with its next map).
 
-    ``num_blocks`` sets task granularity: ~20 blocks per CPU keeps the
-    NER actor pool fed evenly and shrinks straggler tails from skewed
-    blocks (measured 1.6x on the mentions stage at 32 CPUs vs
-    file-sized blocks)."""
+    The NER pool then gets one block per file: a shard needs at least
+    ~2 files per NER actor to keep the whole pool busy, and a file's
+    pages go through one actor.  Finer reads split the parse into
+    their own operator, whose tasks the streaming executor starts at
+    most one per ~100 ms tick on a free CPU."""
     import ray.data as rd
 
     return rd.read_parquet(
-        paths,
+        files,
         columns=list(columns),
         filter=pads.field("lang").isin(list(lang_allow)),
-        override_num_blocks=num_blocks,
+        override_num_blocks=len(files),
+        # with the NER map's explicit SPREAD: the fusion boundary of
+        # build_mentions
+        ray_remote_args={"scheduling_strategy": "DEFAULT"},
     )
 
 
 def build_mentions(pages_ds, cfg: KGPipelineConfig):
+    """Pages -> mention rows: HTML→text fuses into the read tasks, and
+    the NER actors run only NER.  The two maps' differing scheduling
+    strategies are the fusion boundary: with equal remote args Ray fuses
+    a task map into the actor map after it, and the parse would run on
+    the NER actors' CPUs instead of the CPUs the pool leaves free."""
     docs = pages_ds.map_batches(html_to_docs, batch_format="pyarrow")
-    docs = docs.map_batches(
-        make_byte_capped_rebatcher(cfg.max_block_bytes), batch_format="pyarrow"
-    )
     return docs.map_batches(
         GlinerNERStage,
         fn_constructor_kwargs=cfg.ner_kwargs,
@@ -139,6 +146,7 @@ def build_mentions(pages_ds, cfg: KGPipelineConfig):
         batch_size=cfg.ner_batch_size,
         concurrency=cfg.ner_concurrency,
         num_cpus=cfg.ner_num_cpus,
+        scheduling_strategy="SPREAD",
     )
 
 
@@ -152,8 +160,10 @@ def _inputs_fingerprint(files: list[str]) -> list[list]:
 
 # mention rows per write task: coalesces output files (hundreds of tiny
 # parquet files slow the write and every reader) and sizes each task's
-# relations/linking/partials batch
-_ROWS_PER_WRITE = 200_000
+# relations/linking/partials batch.  Small enough that write tasks run
+# on the free CPUs while NER still runs, so one small bundle is left
+# after the last NER block (~5 tasks per 20k pages).
+_ROWS_PER_WRITE = 50_000
 
 # layout version of a mentions shard and its parts (which files a write
 # task leaves), part of the shard config: a shard written under another
@@ -198,13 +208,7 @@ class _ShardSink(Datasink):
 
 def _make_mentions_producer(group: list[str], cfg: KGPipelineConfig, parts_dir: str):
     def produce(path):
-        import ray as _r
-
-        try:
-            _n = int(_r.cluster_resources().get("CPU", 8))
-        except Exception:
-            _n = 8
-        ds = read_pages(group, cfg.lang_allow, num_blocks=20 * _n)
+        ds = read_pages(group, cfg.lang_allow)
         out = build_mentions(ds, cfg)
         out.write_datasink(_ShardSink(path, parts_dir))
         stats = _trim_stats(out)
@@ -242,7 +246,9 @@ def _run_shard(out_root: str, name: str, files: list[str], cfg: KGPipelineConfig
 def _finished_shards(out_root: str, cfg: KGPipelineConfig) -> list[tuple[str, dict]]:
     """``(shard dir name, manifest)`` of every finished mentions shard
     under ``out_root``, sorted by name.  A shard of another layout has
-    no usable parts: it is recomputed from its recorded input files."""
+    no usable parts: it is recomputed from its recorded input files.  A
+    finished shard whose manifest cannot be read is an error: skipping
+    it would drop its mentions from the graph."""
     root = os.path.join(out_root, "mentions")
     shards = []
     if os.path.isdir(root):
@@ -252,8 +258,12 @@ def _finished_shards(out_root: str, cfg: KGPipelineConfig) -> list[tuple[str, di
             try:
                 with open(os.path.join(root, name, "manifest.json")) as f:
                     m = json.load(f)
-            except (OSError, json.JSONDecodeError):
-                continue
+            except (OSError, json.JSONDecodeError) as e:
+                raise ValueError(
+                    f"mentions shard {name} under {out_root} is finished but its "
+                    f"manifest cannot be read ({e}): delete the shard directory "
+                    "and ingest its pages again"
+                ) from e
             if m.get("config", {}).get("layout") != _SHARD_LAYOUT:
                 files = m.get("input_files") or []
                 if not files or not all(map(os.path.isfile, files)):
@@ -265,6 +275,21 @@ def _finished_shards(out_root: str, cfg: KGPipelineConfig) -> list[tuple[str, di
                 m = _run_shard(out_root, name, files, cfg)
             shards.append((name, m))
     return shards
+
+
+def _drop_stale_shards(out_root: str, n_shards: int) -> None:
+    """Remove every ``shard-<k>`` (and its parts) that no current file
+    group names, e.g. ``shard-1`` of an earlier run with more shards:
+    the tail merges every finished shard, so it would count those pages
+    twice.  Delta shards (``shard-delta-*``) are kept."""
+    root = os.path.join(out_root, "mentions")
+    if not os.path.isdir(root):
+        return
+    for name in os.listdir(root):
+        k = name.removeprefix("shard-")
+        if k.isdigit() and int(k) >= n_shards:
+            shutil.rmtree(os.path.join(root, name))
+            shutil.rmtree(os.path.join(out_root, "parts", name), ignore_errors=True)
 
 
 def run_kg_pipeline(pages_path: str, out_root: str, cfg: KGPipelineConfig | None = None) -> dict:
@@ -282,6 +307,7 @@ def run_kg_pipeline(pages_path: str, out_root: str, cfg: KGPipelineConfig | None
     reduce_parts = cfg.resolved_reduce_partitions(input_bytes)
     n_shards = max(1, min(cfg.shards, len(files)))
     groups = [files[i::n_shards] for i in range(n_shards)]
+    _drop_stale_shards(out_root, n_shards)
     shard_manifests = [
         _run_shard(out_root, f"shard-{k}", group, cfg)
         for k, group in enumerate(groups)

@@ -400,6 +400,29 @@ def _key_sorted(tbl, key):
     return tbl.sort_by([(k, "ascending") for k in key])
 
 
+def _assert_same_graph(out, want_out):
+    """The linked multiset, canon map, nodes and key-sorted edges
+    (provenance included) of ``out`` equal those of ``want_out``."""
+    import pickle
+
+    linked, want = _read(out, "linked"), _read(want_out, "linked")
+    cols = list(want.columns)
+    pd.testing.assert_frame_equal(
+        linked[cols].sort_values(cols).reset_index(drop=True),
+        want.sort_values(cols).reset_index(drop=True),
+    )
+    canon_maps = []
+    for path in (out, want_out):
+        with open(os.path.join(path, "canon", "canon_map.pkl"), "rb") as f:
+            canon_maps.append(pickle.load(f))
+    assert canon_maps[0] == canon_maps[1]
+    assert _table(out, "nodes").equals(_table(want_out, "nodes"))
+    key = ["subj_canon", "pred", "obj_canon"]
+    assert _key_sorted(_table(out, "edges"), key).equals(
+        _key_sorted(_table(want_out, "edges"), key)
+    )
+
+
 def _scan_blocks(tbl, ray_session):
     # the pipeline's scan blocking of a one-file stage: Ray splits the
     # file's block into max(8, 4 x CPUs) pieces sized as np.array_split
@@ -647,17 +670,33 @@ def test_edge_provenance_at_cap_over_shards_and_write_tasks(
     """Edges whose supporting docs (more than 8) are spread over two
     shards and several write tasks per shard keep the smallest 8 of all
     of them: the same nodes and edges (provenance included) as the
-    fixture run, whose shards are one write task each."""
+    fixture run, whose shards are one write task each.  The fixture's
+    pages are rewritten into 8 files: the NER pool gets one block per
+    file, so a shard of one file is one write task."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
     from gliner_cpp_ray.pipelines import kg
 
     out_full, _, _ = pipeline_out
-    out = str(tmp_path_factory.mktemp("kg_tasks"))
-    # 16-doc NER blocks, bundled into write tasks of >= 300 mention rows
+    root = str(tmp_path_factory.mktemp("kg_tasks"))
+    pages_dir = os.path.join(root, "pages")
+    os.makedirs(pages_dir)
+    pages = pa.concat_tables(
+        [pq.read_table(f) for f in kg._pages_files(os.path.join(corpus_dir, "pages"))]
+    )
+    step = -(-pages.num_rows // 8)
+    for i in range(8):
+        pq.write_table(
+            pages.slice(i * step, step), os.path.join(pages_dir, f"pages-{i}.parquet")
+        )
+    out = os.path.join(root, "out")
+    # 16-doc NER batches, bundled into write tasks of >= 300 mention rows
     monkeypatch.setattr(kg, "_ROWS_PER_WRITE", 300)
     cfg = KGPipelineConfig(
         ner_batch_size=16, ner_concurrency=(1, 2), link_concurrency=(1, 2), shards=2
     )
-    run_kg_pipeline(os.path.join(corpus_dir, "pages"), out, cfg)
+    run_kg_pipeline(pages_dir, out, cfg)
 
     shard_of = {}  # doc id -> shard
     for k in range(2):
@@ -771,8 +810,6 @@ def test_base_and_two_deltas_match_full_recompute(
     """A base and two delta batches give the linked multiset, canon map,
     nodes and key-sorted edges (provenance included) of one run over
     their union; ingesting a delta again rewrites no checkpoint."""
-    import pickle
-
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -796,24 +833,7 @@ def test_base_and_two_deltas_match_full_recompute(
     run_kg_delta([batches[2]], out, cfg)
     run_kg_delta([batches[3]], out, cfg)
 
-    linked = _read(out, "linked")
-    want = _read(out_full, "linked")
-    cols = list(want.columns)
-    pd.testing.assert_frame_equal(
-        linked[cols].sort_values(cols).reset_index(drop=True),
-        want.sort_values(cols).reset_index(drop=True),
-    )
-    for path in (out, out_full):
-        with open(os.path.join(path, "canon", "canon_map.pkl"), "rb") as f:
-            if path == out:
-                canon_map = pickle.load(f)
-            else:
-                assert pickle.load(f) == canon_map
-    assert _table(out, "nodes").equals(_table(out_full, "nodes"))
-    key = ["subj_canon", "pred", "obj_canon"]
-    assert _key_sorted(_table(out, "edges"), key).equals(
-        _key_sorted(_table(out_full, "edges"), key)
-    )
+    _assert_same_graph(out, out_full)
 
     def success_mtimes():
         return {
@@ -826,3 +846,77 @@ def test_base_and_two_deltas_match_full_recompute(
     assert len(before) == 3 + len(TAIL_STAGES)
     run_kg_delta([batches[3]], out, cfg)
     assert success_mtimes() == before
+
+
+def test_mentions_plan_parses_in_read_tasks_and_runs_only_ner_on_actors(
+    ray_session, corpus_dir
+):
+    """The mentions plan is one read task per file with HTML→text fused
+    into it, then an actor operator holding only the NER map: a Ray
+    that fuses the parse into the NER actors again fails here."""
+    import re
+
+    from ray.data._internal.logical.optimizers import get_execution_plan
+
+    from gliner_cpp_ray.pipelines.kg import _pages_files, build_mentions, read_pages
+
+    files = _pages_files(os.path.join(corpus_dir, "pages"))
+    assert len(files) >= 2, "fixture corpus must span several files"
+    cfg = KGPipelineConfig(ner_concurrency=(1, 2))
+    ds = build_mentions(read_pages(files, cfg.lang_allow), cfg)
+    assert get_execution_plan(ds._logical_plan).dag.dag_str == (
+        "InputDataBuffer[Input] -> "
+        "TaskPoolMapOperator[ReadParquet->MapBatches(html_to_docs)] -> "
+        "ActorPoolMapOperator[MapBatches(GlinerNERStage)]"
+    )
+    ds = ds.materialize()
+    ops = [ln for ln in ds.stats().splitlines() if ln.startswith("Operator ")]
+    assert len(ops) == 2, ops
+    assert re.fullmatch(
+        rf"Operator \d+ ReadParquet->MapBatches\(html_to_docs\): {len(files)} "
+        r"tasks executed, .*",
+        ops[0],
+    ), ops[0]
+    assert re.fullmatch(r"Operator \d+ MapBatches\(GlinerNERStage\): .*", ops[1]), ops[1]
+    assert ds.count() > 0
+
+
+def test_stale_numbered_shard_of_more_shards_is_dropped(pipeline_out, tmp_path_factory):
+    """A ``shards=1`` run into an output built with ``shards=2`` drops
+    the old ``shard-1`` (and its parts) instead of merging it again:
+    the graph equals the fixture run's."""
+    out, _, _ = pipeline_out
+    copy, corpus = _copy_out(pipeline_out, tmp_path_factory, "kg_stale")
+    cfg = KGPipelineConfig(ner_concurrency=(1, 2), link_concurrency=(1, 2), shards=1)
+    run_kg_pipeline(os.path.join(corpus, "pages"), copy, cfg)
+    assert sorted(os.listdir(os.path.join(copy, "mentions"))) == ["shard-0"]
+    assert sorted(os.listdir(os.path.join(copy, "parts"))) == ["shard-0"]
+
+    _assert_same_graph(copy, out)
+
+
+def test_truncated_delta_shard_manifest_fails_loudly(
+    corpus_dir, pipeline_out, tmp_path_factory
+):
+    """A finished delta shard whose manifest no longer parses makes the
+    next run fail with the shard's name, not drop its mentions from
+    the graph."""
+    import pyarrow.parquet as pq
+
+    from gliner_cpp_ray.pipelines.kg import _pages_files, run_kg_delta
+
+    copy, corpus = _copy_out(pipeline_out, tmp_path_factory, "kg_torn_manifest")
+    delta = os.path.join(os.path.dirname(copy), "delta.parquet")
+    pages = pq.read_table(_pages_files(os.path.join(corpus, "pages"))[0])
+    pq.write_table(pages.slice(0, 16), delta)
+    cfg = KGPipelineConfig(ner_concurrency=(1, 2), link_concurrency=(1, 2), shards=2)
+    run_kg_delta([delta], copy, cfg)
+    (shard,) = [
+        n for n in os.listdir(os.path.join(copy, "mentions")) if n.startswith("shard-delta-")
+    ]
+    mpath = os.path.join(copy, "mentions", shard, "manifest.json")
+    with open(mpath, "r+b") as f:
+        f.truncate(os.path.getsize(mpath) // 2)
+
+    with pytest.raises(ValueError, match=shard):
+        run_kg_pipeline(os.path.join(corpus, "pages"), copy, cfg)

@@ -1,5 +1,5 @@
 """Focused unit tests: linking disambiguation, token-level stage path,
-truncation guard, byte-capped rebatching, torn-checkpoint recovery."""
+truncation guard, torn-checkpoint recovery."""
 
 import os
 
@@ -11,7 +11,6 @@ from gliner_cpp_ray.config import GlinerConfig, TOKEN_LEVEL
 from gliner_cpp_ray.sources import world
 from gliner_cpp_ray.stages.linking import EntityLinker
 from gliner_cpp_ray.stages.ner import GlinerNERStage
-from gliner_cpp_ray.stages.repartition import make_byte_capped_rebatcher
 from gliner_cpp_ray.state import checkpoint
 
 
@@ -81,20 +80,6 @@ def test_truncate_words_guard():
     )
     spans_g = guarded.inference([text], ["city", "country"])[0]
     assert {s.text for s in spans_g} == {"Kyiv"}  # tail truncated away
-
-
-def test_byte_capped_rebatcher():
-    texts = ["x" * 100] * 5 + ["y" * 5000] + ["z" * 100] * 5
-    batch = pa.table({"text": texts, "i": list(range(11))})
-    rebatch = make_byte_capped_rebatcher(max_bytes=600, column="text")
-    parts = list(rebatch(batch))
-    # all rows preserved, order intact
-    ids = [i for p in parts for i in p.column("i").to_pylist()]
-    assert ids == list(range(11))
-    # oversized row isolated; no slice exceeds cap except singletons
-    for p in parts:
-        sizes = [len(t) for t in p.column("text").to_pylist()]
-        assert sum(sizes) <= 600 or len(sizes) == 1
 
 
 def test_torn_checkpoint_dir_recovers(tmp_path):
