@@ -132,19 +132,37 @@ def read_pages(files: list[str], lang_allow=("en",), columns=("url", "html", "la
     )
 
 
+def _ner_pool_bounds(cfg: KGPipelineConfig, cpus: float) -> tuple[int, int]:
+    """``cfg.ner_concurrency`` capped so the NER actors leave one of the
+    session's ``cpus`` free: the read tasks that feed the pool need it,
+    and with every CPU held by an actor the pipeline waits forever."""
+    lo, hi = cfg.ner_concurrency
+    if cfg.ner_num_cpus > 0:
+        fit = int((cpus - 1) // cfg.ner_num_cpus)
+        if fit < 1:
+            raise ValueError(
+                f"a Ray session of {cpus:g} CPUs cannot hold one NER actor of "
+                f"{cfg.ner_num_cpus:g} CPU and keep one CPU free for reads"
+            )
+        lo, hi = min(lo, fit), min(hi, fit)
+    return lo, hi
+
+
 def build_mentions(pages_ds, cfg: KGPipelineConfig):
     """Pages -> mention rows: HTML→text fuses into the read tasks, and
     the NER actors run only NER.  The two maps' differing scheduling
     strategies are the fusion boundary: with equal remote args Ray fuses
     a task map into the actor map after it, and the parse would run on
     the NER actors' CPUs instead of the CPUs the pool leaves free."""
+    import ray
+
     docs = pages_ds.map_batches(html_to_docs, batch_format="pyarrow")
     return docs.map_batches(
         GlinerNERStage,
         fn_constructor_kwargs=cfg.ner_kwargs,
         batch_format="pyarrow",
         batch_size=cfg.ner_batch_size,
-        concurrency=cfg.ner_concurrency,
+        concurrency=_ner_pool_bounds(cfg, ray.cluster_resources().get("CPU", 0)),
         num_cpus=cfg.ner_num_cpus,
         scheduling_strategy="SPREAD",
     )

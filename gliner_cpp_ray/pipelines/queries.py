@@ -1056,11 +1056,12 @@ def q_host_link_components(sf_dir: str):
     site-structure clusters — which pages of one host link into one
     navigable group.  Host membership is a pure function of the page id
     (sources/pages.url_of), so the filter is map-side arithmetic on the
-    cached edge table; components come from the distributed
-    label-propagation CC (the same stage the dedup keep-list gates to
-    under adversarial dup density)."""
+    cached edge table, fused into ``graph.connected_components``'s
+    per-block forest map."""
+    import ray.data as rd
+
     from gliner_cpp_ray.sources.pages import N_HOSTS
-    from gliner_cpp_ray.stages.graph import cc_label_propagation
+    from gliner_cpp_ray.stages.graph import connected_components
 
     edges, _ = _link_graph(sf_dir)
 
@@ -1069,15 +1070,12 @@ def q_host_link_components(sf_dir: str):
         dst = t.column("dst_id").to_numpy(zero_copy_only=False)
         return t.filter(pa.array((src % N_HOSTS) == (dst % N_HOSTS)))
 
-    cc = cc_label_propagation(
+    cc = connected_components(
         edges.map_batches(intra, batch_format="pyarrow"),
         a_col="src_id",
         b_col="dst_id",
     )
-    return cc.map_batches(
-        lambda t: t.rename_columns(["node_id", "component"]),
-        batch_format="pyarrow",
-    )
+    return rd.from_arrow(cc.rename_columns(["node_id", "component"]))
 
 
 def q_customer_name_near_dup(sf_dir: str):
@@ -4383,19 +4381,20 @@ def q_embedding_near_dup_lsh(sf_dir: str):
 
 
 def q_embedding_dup_components(sf_dir: str):
-    """Distributed connected components (min-label propagation,
-    ``stages/graph.py``) over the LSH near-dup pair graph — the scale
-    path for component labeling when the pair list outgrows the driver
-    union-find.  Oracle: a recursive CTE computing the same min-label
+    """Connected components (``graph.connected_components``: per-block
+    union-find forests merged on the driver) over the LSH near-dup pair
+    graph.  Oracle: a recursive CTE computing the same min-label
     fixpoint over the identical (hyperplane-literal) pair set."""
-    from gliner_cpp_ray.stages.graph import cc_label_propagation
+    import ray.data as rd
+
+    from gliner_cpp_ray.stages.graph import connected_components
 
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     pairs = lsh_near_dup_pairs(
         ds, dim=_LSH_DIM, threshold=0.4, bits=_NDUP_BITS, bands=_NDUP_BANDS,
         seed=_LSH_SEED,
     )
-    return cc_label_propagation(pairs.select_columns(["a", "b"]))
+    return rd.from_arrow(connected_components(pairs))
 
 
 def q_embedding_near_dup(sf_dir: str):
@@ -6779,14 +6778,15 @@ def q_kg_entity_components(sf_dir: str):
     undirected): per component its label — the lexicographically
     smallest member canon — and size.  The graph-health rollup that
     surfaces whether the KG is one giant hairball or many islands.
-    Scale shape: entities hash to md5-u60 int keys so the distributed
-    min-label propagation (`graph.cc_label_propagation`) runs on
-    int64s; the string label comes back from ONE per-component min over
-    the (hash → canon) map — matching SQL's min-string semantics
-    exactly."""
+    Scale shape: entities hash to md5-u60 int keys so
+    ``graph.connected_components`` runs on int64s; the string label
+    comes back from ONE per-component min over the (hash → canon) map —
+    matching SQL's min-string semantics exactly."""
     import hashlib
 
-    from gliner_cpp_ray.stages.graph import cc_label_propagation
+    import ray.data as rd
+
+    from gliner_cpp_ray.stages.graph import connected_components
     from gliner_cpp_ray.stages.joins import (
         bucketed_group_agg, bucketed_hash_join, keyed_exchange,
     )
@@ -6810,7 +6810,7 @@ def q_kg_entity_components(sf_dir: str):
         )
 
     hashed = edges.map_batches(hash_pair, batch_format="pyarrow").materialize()
-    labels = cc_label_propagation(hashed, a_col="a", b_col="b")
+    labels = rd.from_arrow(connected_components(hashed))
 
     # (hash -> canon) map is 1:1 by construction (node id = hash of the
     # canon); a keyed count dedupes the pairs without touching strings
@@ -14554,7 +14554,7 @@ def oracle_sql_for_corpus(corpus_dir: str):
         "kg_ambiguous_surfaces": _ambiguous_sql(mentions_glob),
         "kg_entity_components": (
             # undirected reachability closure + min-member label: the
-            # closed form of the distributed min-label propagation
+            # closed form of graph.connected_components' contract
             "WITH RECURSIVE ed AS (SELECT DISTINCT subj_canon AS a, "
             f"obj_canon AS b FROM read_parquet('{expected_glob}') "
             "UNION SELECT obj_canon, subj_canon "

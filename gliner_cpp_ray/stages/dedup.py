@@ -12,11 +12,11 @@ Scale shapes:
   verified within buckets;
 * the pairwise n-gram Jaccard verifier is shared by tests and callers.
 
-Candidate-pair lists are bounded by true near-duplicate density, not
-corpus size, so the final union-find is driver-side (state/union_find)
-in the expected case — and SIZE-GATED: past ``KGRAY_UF_DRIVER_PAIR_LIMIT``
-verified pairs (adversarially duplicate-heavy crawls), components come
-from the distributed label propagation in stages/graph.py instead.
+Components of the verified pair list come from
+``graph.connected_components``: each block's pairs become a union-find
+forest, and only the forests' (node, label) rows reach the driver.  That
+table is linear in duplicated docs even where the pair list is quadratic
+(a mirror-heavy or boilerplate-flooded crawl).
 """
 
 from __future__ import annotations
@@ -317,27 +317,20 @@ def verify_pairs(batch: pa.Table, threshold: float = 0.8, num_perm: int = 64) ->
 
 
 class ClusterAssigner:
-    """Broadcast component-map lookup: doc_id -> cluster_id (= min doc_id
-    of its near-dup component; identity for docs in no component).
+    """Broadcast component lookup: doc_id -> cluster_id (= min doc_id of
+    its near-dup component; identity for docs in no component).
 
-    The map is bounded by true dup density — it has one entry per doc
-    that participates in a verified near-dup pair, NOT per corpus row —
-    so it ships once per worker (task-closure state via the object
-    store) instead of pulling the full id column to the driver."""
+    ``node`` (ascending) and ``label`` are ``connected_components``'
+    columns: one entry per doc that participates in a verified near-dup
+    pair, NOT per corpus row, so they ship once per worker (task-closure
+    state via the object store) instead of pulling the full id column
+    to the driver.  The lookup is a pure-int64 ``searchsorted`` — a
+    pandas ``.map`` would round-trip misses through float64 NaN and
+    silently corrupt ids above 2^53."""
 
-    def __init__(self, comp_ref, id_col: str = "doc_id"):
-        import ray
-
-        comp = (
-            ray.get(comp_ref) if isinstance(comp_ref, ray.ObjectRef) else comp_ref
-        )
-        # sorted-key arrays for a pure-int64 searchsorted lookup — a
-        # pandas ``.map`` would round-trip misses through float64 NaN and
-        # silently corrupt ids above 2^53
-        self.keys = np.fromiter(sorted(comp), dtype=np.int64, count=len(comp))
-        self.vals = np.fromiter(
-            (comp[k] for k in sorted(comp)), dtype=np.int64, count=len(comp)
-        )
+    def __init__(self, node: np.ndarray, label: np.ndarray, id_col: str = "doc_id"):
+        self.keys = np.asarray(node, np.int64)
+        self.vals = np.asarray(label, np.int64)
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -430,35 +423,17 @@ class _HotBucketFilter:
         return t.filter(pa.array(mask))
 
 
-def minhash_dedup_clusters(ds, threshold: float = 0.8, signer_kwargs: dict | None = None,
-                           driver_pair_limit: int | None = None):
+def minhash_dedup_clusters(ds, threshold: float = 0.8, signer_kwargs: dict | None = None):
     """Dataset(doc_id, text) -> Dataset (doc_id, cluster_id).
 
     cluster_id = min doc_id of the near-duplicate component.  The
-    verified pair list (bounded by true dup density) is pulled to the
-    driver for union-find; the resulting component map is broadcast
-    back and assignment happens inside ``map_batches`` — the driver
-    never materializes the id column (at 10^12 docs that column alone
-    is terabytes).
-
-    SIZE GATE: the "bounded by dup density" assumption breaks on a
-    mirror-heavy or boilerplate-flooded crawl, where the verified pair
-    list grows quadratically inside big clusters.  When it exceeds
-    ``driver_pair_limit`` (env ``KGRAY_UF_DRIVER_PAIR_LIMIT``, default
-    5e6 pairs ≈ 80 MB), the components are computed DISTRIBUTED instead
-    (``graph.cc_label_propagation`` — per-round bucketed join +
-    groupby-min, O(1) driver traffic per round), and only the resulting
-    (node, label) table — LINEAR in duplicated docs where the pair list
-    is quadratic — is pulled for the broadcast component map.
+    verified pair list goes through ``graph.connected_components``; the
+    resulting (node, label) table is broadcast back and assignment
+    happens inside ``map_batches`` — the driver never materializes the
+    id column (at 10^12 docs that column alone is terabytes).
     """
-    import os
+    from gliner_cpp_ray.stages.graph import connected_components
 
-    from gliner_cpp_ray.state.union_find import UnionFind
-
-    if driver_pair_limit is None:
-        driver_pair_limit = int(
-            os.environ.get("KGRAY_UF_DRIVER_PAIR_LIMIT", 5_000_000)
-        )
     signer_kwargs = signer_kwargs or {}
     # materialize: the signature table is consumed twice (bucket counts,
     # then the hot-bucket semi-join) and is small relative to the corpus
@@ -469,36 +444,19 @@ def minhash_dedup_clusters(ds, threshold: float = 0.8, signer_kwargs: dict | Non
         MinHashSigner(**signer_kwargs), batch_format="pyarrow"
     ).materialize()
 
-    def assign(comp: dict):
-        # the component map is dup-density-bounded; as instance state it
-        # ships once per worker via the object store (broadcast-once)
-        return ds.select_columns(["doc_id"]).map_batches(
-            ClusterAssigner(comp), batch_format="pyarrow"
-        )
-
+    node = label = np.zeros(0, np.int64)
     cands = _lsh_candidates(sigs)
-    if cands is None:
-        return assign({})
-
-    verified = cands.map_batches(
-        verify_pairs, fn_kwargs={"threshold": threshold}, batch_format="pyarrow"
-    ).select_columns(["a", "b"]).materialize()  # consumed twice: count + (pull | CC)
-    if verified.count() > driver_pair_limit:
-        from gliner_cpp_ray.stages.graph import cc_label_propagation
-
-        labels = cc_label_propagation(verified, a_col="a", b_col="b")
-        lab = labels.to_pandas()  # linear in duplicated docs (see docstring)
-        comp = {
-            int(k): int(v)
-            for k, v in zip(lab["node"].to_numpy(), lab["label"].to_numpy())
-        }
-        return assign(comp)
-    pairs = verified.to_pandas()
-    uf = UnionFind()
-    for x, y in pairs.itertuples(index=False):
-        uf.union(int(x), int(y))
-    comp = {k: int(v) for k, v in uf.components().items()}
-    return assign(comp)
+    if cands is not None:
+        comp = connected_components(
+            cands.map_batches(
+                verify_pairs, fn_kwargs={"threshold": threshold},
+                batch_format="pyarrow",
+            )
+        )
+        node, label = comp.column("node").to_numpy(), comp.column("label").to_numpy()
+    return ds.select_columns(["doc_id"]).map_batches(
+        ClusterAssigner(node, label), batch_format="pyarrow"
+    )
 
 
 # --- exact n-gram Jaccard ------------------------------------------------

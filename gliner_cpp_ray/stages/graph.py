@@ -1,25 +1,11 @@
-"""Distributed connected components via min-label propagation.
+"""Graph operators: connected components, BFS, SSSP, communities.
 
-The KG pipeline's canonicalization union-find runs on the DRIVER over a
-vocabulary-bounded edge list (state/union_find.py) — the right tool
-when the edge list reduces.  This module is the scale path for edge
-lists that do NOT reduce (e.g. near-dup graphs over 10^12 docs whose
-pair list exceeds driver memory): iterative min-label propagation
-expressed purely in Ray Data operators.
-
-Algorithm: ``label(u) ← min(label(u), min over neighbors v of
-label(v))`` to fixpoint.  Each round is one bucketed hash join (labels
-onto the adjacency, co-partitioned by node hash) + one groupby-min —
-two shuffles of the (node, label) table, never the raw rows behind it.
-Convergence needs O(component diameter) rounds; near-dup graphs are
-dense clusters with tiny diameters, so 3-5 rounds typically suffice
-(the O(log d) hash-to-min variant from the MapReduce-CC literature
-trades per-round volume for fewer rounds; this implementation keeps
-per-round volume linear in |E|).
-
-Fixpoint detection is driver-side but O(1) data: labels only ever
-decrease, so the SUM of labels is a strictly decreasing progress
-measure — equal sums across rounds ⇒ converged.
+Connected components follow BTS (ICDE'24, PAPERS.md): each block of the
+edge list becomes its own union-find forest, and the forests merge on
+the driver.  The per-block step turns a pair list that does not reduce
+(near-dup pairs grow quadratically inside big clusters) into one row per
+(node, block), so the driver never holds one row per edge, and the
+whole computation is one Ray execution whatever the graph's diameter.
 """
 
 from __future__ import annotations
@@ -28,89 +14,41 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-def _undirected_adjacency(edges_ds, a_col: str = "a", b_col: str = "b"):
-    """(a, b) edge list → both-direction (node, nbr) rows plus self
-    loops, so min-over-neighbors includes the node's own label."""
-
-    def expand(t: pa.Table) -> pa.Table:
-        a = t.column(a_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        b = t.column(b_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        node = np.concatenate([a, b, a, b])
-        nbr = np.concatenate([b, a, a, b])  # self loops: (a,a), (b,b)
-        return pa.table(
-            {"node": pa.array(node, pa.int64()), "nbr": pa.array(nbr, pa.int64())}
-        )
-
-    return edges_ds.map_batches(expand, batch_format="pyarrow")
+from gliner_cpp_ray.state.union_find import min_label_components
 
 
-def cc_label_propagation(edges_ds, a_col: str = "a", b_col: str = "b",
-                         max_rounds: int = 32, n_buckets: int | None = None):
-    """Connected components of an undirected int-keyed edge list.
-
-    Returns a ``ray.data.Dataset`` of ``(node, label)`` with
-    ``label = min node id of the component`` — the same contract as the
-    driver union-find (``state/union_find.py``), pinned equal in tests.
-
-    Raises ``RuntimeError`` if ``max_rounds`` is hit before the
-    fixpoint (pathological diameter — raise the bound or switch to the
-    hash-to-min variant).
-    """
-    from gliner_cpp_ray.stages.joins import bucketed_group_agg, bucketed_hash_join
-
-    adj = _undirected_adjacency(edges_ds, a_col, b_col).materialize()
-    if n_buckets is None:
-        # rows-scaled, cluster-capped (pagerank/triangles rationale):
-        # every round pays per-bucket fixed costs across a join + a
-        # groupby, so small graphs must not fan out to 2×CPU groups
-        from gliner_cpp_ray.stages.sizing import default_buckets
-
-        n_buckets = max(8, min(default_buckets(None), adj.count() // 250_000))
-    # round 0: label(u) = min neighbor (self loop ⇒ includes u)
-    labels = bucketed_group_agg(
-        adj, "node", "min", val_col="nbr", out_col="label",
-        n_buckets=n_buckets,
-    ).materialize()
-    if labels.count() == 0:
-        # empty edge list ⇒ empty labeling (Dataset.sum over an empty
-        # dataset returns None, so the fixpoint loop must not run)
-        return labels
-    prev_sum = None
-    for _ in range(max_rounds):
-        cur_sum = int(
-            labels.map_batches(
-                lambda t: pa.table(
-                    {"s": pa.array(
-                        [int(np.sum(t.column("label").to_numpy(zero_copy_only=False)))],
-                        pa.int64(),
-                    )}
-                ),
-                batch_format="pyarrow",
-            ).sum("s")
-            or 0
-        )
-        if cur_sum == prev_sum:
-            return labels
-        prev_sum = cur_sum
-        # nbr-side labels onto adjacency, then min per node
-        nbr_labels = labels.map_batches(
-            lambda t: t.rename_columns(["nbr", "nbr_label"]),
-            batch_format="pyarrow",
-        )
-        joined = bucketed_hash_join(
-            _rename(adj, {"node": "keep_node", "nbr": "nbr"}),
-            nbr_labels,
-            on="nbr",
-            n_buckets=n_buckets,
-        )
-        labels = bucketed_group_agg(
-            _rename(joined, {"keep_node": "node"}), "node", "min",
-            val_col="nbr_label", out_col="label", n_buckets=n_buckets,
-        ).materialize()
-    raise RuntimeError(
-        f"cc_label_propagation did not converge in {max_rounds} rounds"
+def _block_forest(t: pa.Table, a_col: str, b_col: str) -> pa.Table:
+    """One block's edges -> its forest as (node, block-local min label)
+    rows: every component becomes a star centred on its minimum."""
+    node, label = min_label_components(
+        t.column(a_col).cast(pa.int64()).to_numpy(zero_copy_only=False),
+        t.column(b_col).cast(pa.int64()).to_numpy(zero_copy_only=False),
     )
+    return pa.table({"node": node, "label": label})
+
+
+def connected_components(edges_ds, a_col: str = "a", b_col: str = "b") -> pa.Table:
+    """Connected components of an undirected int64 edge list.
+
+    -> driver-resident ``pa.Table(node, label)``, sorted by node, with
+    ``label = min node id of the component`` (the ``UnionFind``
+    contract).  One ``map_batches`` replaces each block's edges with
+    its forest; those rows come to the driver in one execution and
+    ``min_label_components`` merges them.  The stars of all blocks have
+    the same components as the edges, so the merge is exact."""
+    forests = edges_ds.map_batches(
+        _block_forest,
+        fn_kwargs={"a_col": a_col, "b_col": b_col},
+        batch_format="pyarrow",
+        batch_size=None,
+    )
+    node, label = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for t in forests.iter_batches(batch_format="pyarrow", batch_size=None):
+        if t.num_rows:  # an empty block may carry no schema
+            node.append(t.column("node").to_numpy(zero_copy_only=False))
+            label.append(t.column("label").to_numpy(zero_copy_only=False))
+    node, label = min_label_components(np.concatenate(node), np.concatenate(label))
+    return pa.table({"node": node, "label": label})
 
 
 def _rename(ds, mapping: dict):
@@ -167,9 +105,9 @@ def bfs_hop_distance(edges_ds, seeds_ds, max_hops: int = 4,
 
     probe = edges_ds.map_batches(as_probe, batch_format="pyarrow").materialize()
     if n_buckets is None:
-        # rows-scaled, cluster-capped (cc_label_propagation rationale):
-        # every hop pays per-bucket fixed costs across three exchanges,
-        # so small graphs must not fan out to 2×CPU groups
+        # rows-scaled, cluster-capped: every hop pays per-bucket fixed
+        # costs across three exchanges, so small graphs must not fan out
+        # to 2×CPU groups
         n_buckets = max(8, min(default_buckets(None), probe.count() // 250_000))
     visited = seeds_ds.map_batches(seed0, batch_format="pyarrow").materialize()
     frontier = visited

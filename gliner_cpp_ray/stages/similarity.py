@@ -158,26 +158,24 @@ def embedding_near_dup_clusters(ds, ref_ids: np.ndarray, ref_matrix: np.ndarray,
                                 threshold: float = 0.95, id_col: str = "vec_id",
                                 col: str = "embedding"):
     """Embedding near-dup CLUSTERS: exact cosine pairs over a broadcast
-    reference matrix, then union-find on the (dup-density-bounded) pair
-    list.  Returns a DataFrame (id_col, cluster_id) with cluster_id =
-    min member id — the embedding analog of MinHash clustering."""
-    import pandas as pd
-
-    from gliner_cpp_ray.state.union_find import UnionFind
+    reference matrix, then ``graph.connected_components`` on the
+    (dup-density-bounded) pair list.  Returns a DataFrame (id_col,
+    cluster_id) with cluster_id = min member id — the embedding analog
+    of MinHash clustering."""
+    from gliner_cpp_ray.stages.dedup import ClusterAssigner
+    from gliner_cpp_ray.stages.graph import connected_components
 
     pairs = ds.map_batches(
         NearDupScorer(ref_ids=ref_ids, ref_matrix=ref_matrix,
                       threshold=threshold, id_col=id_col, col=col),
         batch_format="pyarrow",
-    ).select_columns(["a", "b"]).to_pandas()
-    uf = UnionFind()
-    for a, b in pairs.itertuples(index=False):
-        uf.union(int(a), int(b))
-    comp = uf.components()
-    ids = [int(i) for i in ref_ids]
-    return pd.DataFrame(
-        {id_col: ids, "cluster_id": [comp.get(i, i) for i in ids]}
     )
+    comp = connected_components(pairs)
+    assign = ClusterAssigner(
+        comp.column("node").to_numpy(), comp.column("label").to_numpy(), id_col
+    )
+    ids = pa.table({id_col: pa.array(np.asarray(ref_ids, np.int64))})
+    return assign(ids).to_pandas()
 
 
 class LshBucketer:

@@ -2,7 +2,7 @@
 
 The master-data-management (MDM) step that closes the entity-resolution
 loop: fuzzy matching (``dedup.edit_distance_pairs``) finds LINKS,
-connected components (``graph.cc_label_propagation``) turn links into
+connected components (``graph.connected_components``) turn links into
 CLUSTERS, and survivorship picks one golden value per field per cluster
 — the relational-table analog of the KG canonicalization chain
 (surface groupby → union-find → canon rewrite, stages/canonicalize.py),
@@ -12,13 +12,13 @@ Survivorship rules here are deterministic aggregates (min for names —
 lexicographic stability; max for measures — "best known value"; member
 count for audit), so the whole chain is exactly SQL-replicable.
 
-Scale shape: two bucketed joins map name pairs to key pairs; with a
-blocking column the components are BLOCK-LOCAL by construction and CC
-is one block-hash exchange with a per-bucket union-find (unblocked
-inputs fall back to ``graph.cc_label_propagation``'s global rounds);
-one bucketed LEFT join attaches labels back to the full records table
-(unmatched records form singleton clusters via coalesce), and one
-composite grouped reduce emits golden rows.  Every exchange is key- or
+Scale shape: two bucketed joins map name pairs to key pairs (a blocking
+column, when given, filters them); ``graph.connected_components`` labels
+the linked keys with per-block union-find forests merged on the driver
+(one row per linked key and block, never one per pair); one bucketed
+LEFT join attaches labels back to the full records table (unmatched
+records form singleton clusters via coalesce), and one composite
+grouped reduce emits golden rows.  Every exchange is key- or
 pair-bounded.
 """
 
@@ -42,8 +42,8 @@ def golden_records(records_ds, pairs_ds, key_col: str, match_col: str,
     Blocking is the standard MDM lever against transitive-chain
     collapse: sequentially-numbered surfaces chain every record into
     one mega-cluster through distance-1 steps; requiring block equality
-    snips the chain at realistic boundaries (and bounds both component
-    diameter — CC rounds — and the SQL oracle's closure volume).
+    snips the chain at realistic boundaries (and bounds the SQL
+    oracle's closure volume).
 
     -> Dataset(cluster_id, min_<c>..., max_<c>..., n_members): one
     golden row per duplicate cluster, ``cluster_id`` = min member key;
@@ -53,7 +53,9 @@ def golden_records(records_ds, pairs_ds, key_col: str, match_col: str,
     maps whose schema probe is cheap, but the joins below need static
     column types either way (see bucketed_hash_join).
     """
-    from gliner_cpp_ray.stages.graph import cc_label_propagation
+    import ray.data as rd
+
+    from gliner_cpp_ray.stages.graph import connected_components
     from gliner_cpp_ray.stages.joins import bucketed_hash_join, keyed_exchange
     from gliner_cpp_ray.stages.sizing import default_buckets
 
@@ -108,26 +110,11 @@ def golden_records(records_ds, pairs_ds, key_col: str, match_col: str,
             ),
             batch_format="pyarrow",
         )
-        # BLOCK-LOCAL components: both endpoints of every surviving pair
-        # share the block, so no component spans blocks — CC runs as ONE
-        # block-hash exchange with a per-bucket union-find, instead of
-        # O(diameter) global label-propagation rounds.  (Measured on the
-        # sequential-name MDM graph at sf0.1: the global propagator took
-        # 31 rounds / ~60 s — name chains have large diameter — vs one
-        # ~2 s exchange here.  Per-bucket work is bounded by the pairs
-        # in that bucket's blocks: the blocking key's dup density, not
-        # the corpus.)
-        labels = _block_local_cc(key_pairs, "ka", "kb", "__blk_ka",
-                                 n_buckets)
-    else:
-        labels = cc_label_propagation(key_pairs, a_col="ka", b_col="kb")
+    labels = connected_components(key_pairs, "ka", "kb")
 
     labeled = bucketed_hash_join(
         records_ds,
-        labels.map_batches(
-            lambda t: t.rename_columns([key_col, "__label"]),
-            batch_format="pyarrow",
-        ),
+        rd.from_arrow(labels.rename_columns([key_col, "__label"])),
         on=key_col,
         how="left",
         n_buckets=n_buckets,
@@ -157,25 +144,3 @@ def golden_records(records_ds, pairs_ds, key_col: str, match_col: str,
         "cluster_id", survive, n_buckets_out,
     )
 
-
-def _block_local_cc(pairs_ds, a_col: str, b_col: str, block_col: str,
-                    n_buckets: int | None):
-    """Connected components of a BLOCK-LOCAL pair list (every pair's
-    endpoints share ``block_col``): one block-hash exchange, per-bucket
-    path-halving union-find (state/union_find.py — same min-root
-    contract as ``cc_label_propagation``).  -> Dataset(node, label)."""
-    from gliner_cpp_ray.stages.joins import keyed_exchange
-    from gliner_cpp_ray.state.union_find import connected_components
-
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        comp = connected_components(
-            zip(g[a_col].to_numpy().tolist(), g[b_col].to_numpy().tolist())
-        )
-        return pd.DataFrame(
-            {
-                "node": np.fromiter(comp.keys(), np.int64, len(comp)),
-                "label": np.fromiter(comp.values(), np.int64, len(comp)),
-            }
-        )
-
-    return keyed_exchange(pairs_ds, block_col, reduce_bucket, n_buckets)

@@ -1,20 +1,21 @@
-"""Union-find for canonicalization connected components (B10).
+"""Union-find for connected components.
 
-The driver-side union-find runs over the REDUCED edge list — distinct
-``(norm_surface, qid)`` pairs after a Ray-side distinct/pre-aggregation —
-never over raw mention rows.  The reduced list is bounded by the surface
-vocabulary (≈ entity count × alias count), which stays small even at
-10^12 documents, so a single-process pass is the right tool (cf.
-PAPERS.md: BTS ICDE'24 reserves distributed union-find for edge lists
-that do NOT reduce; ours does).
+Two forms share the ``node -> min node of its component`` contract:
 
-For a non-reducing workload (pair lists that outgrow driver memory),
-``stages/graph.py:cc_label_propagation`` is the distributed min-label
-path with the same ``node -> min component id`` contract, pinned equal
-to this class in tests/test_graph.py.
+* ``UnionFind``: a path-halving forest over arbitrary hashable nodes.
+  Canonicalization (B10) runs it on the driver over the REDUCED
+  ``(norm_surface, qid)`` edge list, whose nodes are tuples; tests use
+  it as the reference for the array form.
+* ``min_label_components``: the same contract over int64 endpoint
+  arrays, vectorized (hook-to-min + pointer jumping).  It is the
+  per-block forest and the driver merge of
+  ``stages/graph.py:connected_components`` (BTS, ICDE'24, PAPERS.md:
+  each partition builds a local forest, the forests are merged).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class UnionFind:
@@ -52,9 +53,32 @@ class UnionFind:
         return {x: self.find(x) for x in list(self.parent)}
 
 
-def connected_components(edges) -> dict:
-    """edges: iterable of (a, b) pairs → node -> root mapping."""
-    uf = UnionFind()
-    for a, b in edges:
-        uf.union(a, b)
-    return uf.components()
+def min_label_components(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Edge endpoint arrays ``a``, ``b`` (int64) -> ``(node, label)``:
+    every node of the edges, ascending, with the smallest node id of
+    its component.
+
+    Nodes are renumbered to dense ranks, which keep the id order, so a
+    min over ranks is a min over ids (exact for any int64, no float
+    round trip).  Each pass hooks every root to the smallest root among
+    its edges' endpoints and then pointer-jumps until every node points
+    at its root; it stops when every edge's endpoints share a root.
+    ``parent[x] <= x`` always holds, so the forest has no cycles, and a
+    pass that changes nothing leaves no edge between two roots."""
+    a = np.asarray(a, np.int64)
+    b = np.asarray(b, np.int64)
+    nodes, inverse = np.unique(np.concatenate([a, b]), return_inverse=True)
+    u, v = inverse[: len(a)], inverse[len(a):]
+    parent = np.arange(len(nodes))
+    while True:
+        ru, rv = parent[u], parent[v]
+        if np.array_equal(ru, rv):
+            return nodes, nodes[parent]
+        lo = np.minimum(ru, rv)
+        np.minimum.at(parent, ru, lo)
+        np.minimum.at(parent, rv, lo)
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped

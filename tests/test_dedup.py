@@ -107,13 +107,13 @@ def test_cluster_assigner_preserves_ids_above_2_53():
 
     big = (1 << 53) + 1  # not float64-representable
     huge = (1 << 62) + 3
-    comp = {big: 7, 5: 3}
-    stage = ClusterAssigner(comp)
+    stage = ClusterAssigner(np.array([5, big], np.int64), np.array([3, 7], np.int64))
     out = stage(pa.table({"doc_id": pa.array([big, huge, 5, 6], pa.int64())}))
     assert out.column("doc_id").to_pylist() == [big, huge, 5, 6]
     assert out.column("cluster_id").to_pylist() == [7, huge, 3, 6]
     # empty map: identity
-    out2 = ClusterAssigner({})(pa.table({"doc_id": pa.array([huge], pa.int64())}))
+    none = np.zeros(0, np.int64)
+    out2 = ClusterAssigner(none, none)(pa.table({"doc_id": pa.array([huge], pa.int64())}))
     assert out2.column("cluster_id").to_pylist() == [huge]
 
 
@@ -253,10 +253,17 @@ def test_simhash_batch_matches_reference_and_sql_oracle():
 
 
 def test_minhash_clusters_distributed_cc_gate(ray_session):
-    """An all-duplicates corpus forced through the size gate
-    (driver_pair_limit=0) must complete via the distributed label
-    propagation and agree exactly with the driver union-find path."""
+    """An all-duplicates corpus (a quadratic verified pair list) through
+    ``connected_components`` must agree exactly with the driver
+    union-find over the same verified pairs."""
     import ray.data as rd
+
+    from gliner_cpp_ray.stages.dedup import (
+        MinHashSigner,
+        _lsh_candidates,
+        verify_pairs,
+    )
+    from gliner_cpp_ray.state.union_find import UnionFind
 
     text = "the same boilerplate page body repeated across every mirror host"
     docs = pa.table(
@@ -267,18 +274,28 @@ def test_minhash_clusters_distributed_cc_gate(ray_session):
             ),
         }
     )
-    ds = rd.from_arrow(docs)
-    via_driver = (
+    ds = rd.from_arrow(docs).repartition(4)
+    got = (
         minhash_dedup_clusters(ds, threshold=0.7)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
-    via_cc = (
-        minhash_dedup_clusters(ds, threshold=0.7, driver_pair_limit=0)
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
+    sigs = ds.map_batches(MinHashSigner(), batch_format="pyarrow").materialize()
+    pairs = _lsh_candidates(sigs).map_batches(
+        verify_pairs, fn_kwargs={"threshold": 0.7}, batch_format="pyarrow"
+    ).to_pandas()
+    assert len(pairs) > 24  # the pair list outgrows the docs
+    uf = UnionFind()
+    for a, b in zip(pairs["a"].tolist(), pairs["b"].tolist()):
+        uf.union(a, b)
+    want = pd.DataFrame(
+        {
+            "doc_id": np.arange(24, dtype=np.int64),
+            "cluster_id": np.array([uf.find(i) for i in range(24)], np.int64),
+        }
     )
-    pd.testing.assert_frame_equal(via_driver, via_cc)
+    pd.testing.assert_frame_equal(got, want)
     # the corpus really is duplicate-heavy: one giant cluster
-    assert (via_cc["cluster_id"] == 0).sum() >= 12
+    assert (got["cluster_id"] == 0).sum() >= 12
 
 
 def test_group_set_overlap_exact_jaccard(ray_session):

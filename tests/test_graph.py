@@ -1,29 +1,31 @@
-"""Distributed CC (min-label propagation) vs the driver union-find."""
+"""Connected components (per-block forests merged on the driver) vs the
+driver union-find; BFS, SSSP."""
 
 import numpy as np
 import pandas as pd
-import pytest
 
-from gliner_cpp_ray.state.union_find import connected_components
+from gliner_cpp_ray.stages.graph import connected_components
+from gliner_cpp_ray.state.union_find import UnionFind, min_label_components
 
 
-def _check(edges, ray_session, max_rounds=32):
+def _union_find_labels(a, b) -> dict:
+    uf = UnionFind()
+    for x, y in zip(a, b):
+        uf.union(int(x), int(y))
+    return uf.components()
+
+
+def _check(edges, ray_session, n_blocks=3):
     import ray.data as rd
 
-    from gliner_cpp_ray.stages.graph import cc_label_propagation
-
     df = pd.DataFrame(edges, columns=["a", "b"]).astype("int64")
-    got = (
-        cc_label_propagation(rd.from_pandas(df).repartition(3),
-                             max_rounds=max_rounds)
-        .to_pandas()
-        .set_index("node")["label"]
-        .to_dict()
-    )
-    want = connected_components(edges)
+    out = connected_components(rd.from_pandas(df).repartition(n_blocks))
+    node = out.column("node").to_pylist()
+    assert node == sorted(node)
+    got = dict(zip(node, out.column("label").to_pylist()))
     # union-find roots are min-ids (union picks the smaller rep), so the
     # two contracts line up exactly
-    assert got == {int(k): int(v) for k, v in want.items()}
+    assert got == _union_find_labels(df["a"], df["b"])
 
 
 def test_cc_two_triangles_and_bridge(ray_session):
@@ -41,31 +43,138 @@ def test_cc_random_graph_matches_union_find(ray_session):
 
 
 def test_cc_path_graph_needs_diameter_rounds(ray_session):
-    # a 12-node path: min label walks one hop per round
-    _check([(i, i + 1) for i in range(11)], ray_session, max_rounds=16)
-
-
-def test_cc_nonconvergence_raises(ray_session):
-    import ray.data as rd
-
-    from gliner_cpp_ray.stages.graph import cc_label_propagation
-
-    df = pd.DataFrame([(i, i + 1) for i in range(10)], columns=["a", "b"])
-    with pytest.raises(RuntimeError):
-        cc_label_propagation(rd.from_pandas(df), max_rounds=2)
+    """A long path with shuffled ids, its edges split over blocks so no
+    block sees more than a piece of it: min-label propagation needed one
+    round per hop; the block forests and the driver merge need none."""
+    rng = np.random.default_rng(4)
+    ids = rng.permutation(200).tolist()
+    edges = [(ids[i], ids[i + 1]) for i in range(199)]
+    rng.shuffle(edges)
+    _check(edges, ray_session, n_blocks=7)
 
 
 def test_cc_empty_edge_list(ray_session):
     """Zero pairs (plausible at small corpora / tight thresholds) must
-    yield an empty labeling, not a TypeError from sum-over-empty."""
+    yield an empty, typed labeling."""
+    import pyarrow as pa
     import ray.data as rd
-
-    from gliner_cpp_ray.stages.graph import cc_label_propagation
 
     empty = pd.DataFrame({"a": pd.Series(dtype="int64"),
                           "b": pd.Series(dtype="int64")})
-    out = cc_label_propagation(rd.from_pandas(empty))
-    assert out.count() == 0
+    out = connected_components(rd.from_pandas(empty))
+    assert out.num_rows == 0
+    assert out.schema == pa.schema([("node", pa.int64()), ("label", pa.int64())])
+
+
+def test_cc_over_empty_schemaless_blocks(ray_session):
+    """Blocks with no rows and no columns (a map that returns an empty
+    table, a join bucket with no rows) sit beside typed blocks; the
+    merge reads only blocks that hold rows."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    def t(a, b):
+        return pa.table({"a": pa.array(a, pa.int64()), "b": pa.array(b, pa.int64())})
+
+    ds = rd.from_arrow([t([1, 2], [2, 3]), pa.table({}), t([3, 9], [5, 10]),
+                        t([], [])])
+    out = connected_components(ds.map_batches(
+        lambda b: b if b.num_rows and 9 not in b.column("a").to_pylist() else pa.table({}),
+        batch_format="pyarrow", batch_size=None,
+    ))
+    assert out.to_pydict() == {"node": [1, 2, 3], "label": [1, 1, 1]}
+    assert connected_components(ds).to_pydict() == {
+        "node": [1, 2, 3, 5, 9, 10], "label": [1, 1, 1, 1, 9, 9],
+    }
+
+
+def test_cc_ray_executions_do_not_grow_with_diameter(ray_session, monkeypatch):
+    """Min-label propagation ran O(diameter) rounds of Ray executions;
+    ``connected_components`` runs the same fixed plan for a 4-node and
+    a 256-node path."""
+    import pyarrow as pa
+    import ray.data as rd
+    from ray.data._internal.plan import ExecutionPlan
+
+    executions = []
+    real = ExecutionPlan.create_executor
+
+    def spy(self, *args, **kwargs):
+        executions.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExecutionPlan, "create_executor", spy)
+    counts = []
+    for n in (4, 256):
+        edges = pa.table({"a": pa.array(range(n - 1), pa.int64()),
+                          "b": pa.array(range(1, n), pa.int64())})
+        executions.clear()
+        out = connected_components(rd.from_arrow(edges).repartition(4))
+        assert out.column("label").to_pylist() == [0] * n
+        counts.append(len(executions))
+    assert counts[0] == counts[1] >= 1
+
+
+def _assert_matches_union_find(a, b):
+    node, label = min_label_components(a, b)
+    assert node.dtype == label.dtype == np.int64
+    assert node.tolist() == sorted(set(a.tolist()) | set(b.tolist()))
+    assert dict(zip(node.tolist(), label.tolist())) == _union_find_labels(a, b)
+
+
+def test_min_label_components_random_graphs_match_union_find():
+    """Random graphs over ids from small ints to md5-u60 hashes, ids
+    above 2^53 (not float64-exact) and ids near the int64 maximum, with
+    self loops and duplicate edges."""
+    rng = np.random.default_rng(12)
+    top = np.iinfo(np.int64).max
+    pools = [
+        np.arange(50),
+        rng.integers(0, 1 << 60, 400),  # md5-u60 range
+        (1 << 53) + rng.integers(0, 64, 40),
+        top - rng.integers(0, 64, 40),
+    ]
+    for trial in range(60):
+        pool = np.unique(pools[trial % len(pools)]).astype(np.int64)
+        m = int(rng.integers(1, 3 * len(pool)))
+        a = rng.choice(pool, m)
+        b = rng.choice(pool, m)
+        loops = rng.random(m) < 0.1
+        b[loops] = a[loops]
+        dup = rng.integers(0, m, m // 4)
+        a, b = np.concatenate([a, a[dup]]), np.concatenate([b, b[dup]])
+        _assert_matches_union_find(a, b)
+
+
+def test_min_label_components_edge_cases():
+    empty = np.zeros(0, np.int64)
+    node, label = min_label_components(empty, empty)
+    assert node.tolist() == label.tolist() == []
+    assert node.dtype == label.dtype == np.int64
+    top = np.iinfo(np.int64).max
+    # one self loop; one duplicated edge; ids that collide as float64
+    _assert_matches_union_find(np.array([7], np.int64), np.array([7], np.int64))
+    _assert_matches_union_find(
+        np.array([top, top, (1 << 53) + 1], np.int64),
+        np.array([top - 1, top - 1, 1 << 53], np.int64),
+    )
+
+
+def test_min_label_components_long_shuffled_paths():
+    """Paths whose ids are shuffled (so the minimum sits anywhere along
+    the path) and whose edges come in random order and direction."""
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 17, 1000, 5000):
+        ids = rng.choice(1 << 60, n, replace=False).astype(np.int64)
+        order = rng.permutation(n - 1)
+        a, b = ids[:-1][order], ids[1:][order]
+        flip = rng.random(n - 1) < 0.5
+        a, b = np.where(flip, b, a), np.where(flip, a, b)
+        node, label = min_label_components(a, b)
+        assert node.tolist() == sorted(ids.tolist())
+        assert set(label.tolist()) == {int(ids.min())}
+        if n <= 1000:
+            _assert_matches_union_find(a, b)
 
 
 # ---------------------------------------------------------------- BFS

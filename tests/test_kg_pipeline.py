@@ -920,3 +920,58 @@ def test_truncated_delta_shard_manifest_fails_loudly(
 
     with pytest.raises(ValueError, match=shard):
         run_kg_pipeline(os.path.join(corpus, "pages"), copy, cfg)
+
+
+def test_ner_pool_leaves_one_cpu_for_reads():
+    from gliner_cpp_ray.pipelines.kg import _ner_pool_bounds
+
+    default = KGPipelineConfig()
+    assert _ner_pool_bounds(default, 2) == (1, 1)
+    assert _ner_pool_bounds(default, 4) == (2, 3)
+    assert _ner_pool_bounds(default, 64) == default.ner_concurrency
+    # the benchmark's explicit one-actor pool in its 2-CPU session
+    assert _ner_pool_bounds(KGPipelineConfig(ner_concurrency=(1, 1)), 2) == (1, 1)
+    assert _ner_pool_bounds(KGPipelineConfig(ner_num_cpus=0.5), 2) == (2, 2)
+    with pytest.raises(ValueError, match="session of 1 CPUs"):
+        _ner_pool_bounds(default, 1)
+
+
+_TWO_CPU_RUN = """
+import os, sys
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from gliner_cpp_ray.pipelines.kg import run_kg_pipeline
+from gliner_cpp_ray.sources.pages import ensure_corpus
+corpus = ensure_corpus(200, root=sys.argv[1])
+summary = run_kg_pipeline(os.path.join(corpus, "pages"), sys.argv[2])
+print("EDGES", summary["edges"]["total_rows"])
+"""
+
+
+def test_default_config_completes_in_a_two_cpu_session(tmp_path):
+    """The default NER pool, (2, 16) actors of 1 CPU, held both CPUs of a
+    2-CPU session, so the read tasks feeding it never ran and the
+    pipeline hung.  Run in a child process with its own session, under
+    a timeout, so a hang fails the test."""
+    import signal
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _TWO_CPU_RUN, str(tmp_path / "corpus"), str(tmp_path / "out")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, _ = proc.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, _ = proc.communicate()
+        pytest.fail("run_kg_pipeline did not finish in 240 s:\n" + out[-2000:])
+    assert proc.returncode == 0, out[-2000:]
+    assert "EDGES" in out

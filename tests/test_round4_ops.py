@@ -70,7 +70,7 @@ def test_bm25_zero_floored_contribution_keeps_doc(ray_session):
 
 def test_intra_host_components_match_union_find(ray_session):
     from gliner_cpp_ray.sources.pages import N_HOSTS
-    from gliner_cpp_ray.stages.graph import cc_label_propagation
+    from gliner_cpp_ray.stages.graph import connected_components
     from gliner_cpp_ray.state.union_find import UnionFind
 
     rng = np.random.default_rng(5)
@@ -86,10 +86,8 @@ def test_intra_host_components_match_union_find(ray_session):
     edges = rd.from_arrow(
         pa.table({"src_id": src.astype("int64"), "dst_id": dst.astype("int64")})
     )
-    got = {
-        r["node"]: r["label"]
-        for r in cc_label_propagation(edges, "src_id", "dst_id").take_all()
-    }
+    cc = connected_components(edges, "src_id", "dst_id")
+    got = dict(zip(cc.column("node").to_pylist(), cc.column("label").to_pylist()))
     uf = UnionFind()
     for a, b in zip(src.tolist(), dst.tolist()):
         uf.union(a, b)
