@@ -416,9 +416,9 @@ _ENDPOINT_COLS = [
 ]
 
 
-def _read_parts(paths: list[str], schema: pa.Schema, columns=None) -> pa.Table:
+def _read_parts(paths: list[str], schema: pa.Schema) -> pa.Table:
     """Part files -> one Arrow table on the driver (typed when empty)."""
-    return pads.dataset(paths, schema=schema, format="parquet").to_table(columns=columns)
+    return pads.dataset(paths, schema=schema, format="parquet").to_table()
 
 
 def _sum_surfaces(counts: pa.Table) -> pa.Table:
@@ -539,14 +539,15 @@ def _run_downstream(out_root: str, cfg: KGPipelineConfig, reduce_parts: int) -> 
 
     # --- stage 5: nodes ----------------------------------------------
     def produce_nodes(path):
-        # one part file at a time: each file's endpoint partials are
-        # bounded by the vocabulary, the triple partials together are not
+        # one scan over every part file, one batch at a time: each
+        # batch's endpoint partials are bounded by the vocabulary, the
+        # triple partials together are not
+        scan = pads.dataset(
+            paths("triples"), schema=TRIPLE_PARTIALS_SCHEMA, format="parquet"
+        ).to_batches(columns=_ENDPOINT_COLS)
         nodes = _reduce_nodes(
             pq.read_table(mention_nodes),
-            (
-                _read_parts([p], TRIPLE_PARTIALS_SCHEMA, _ENDPOINT_COLS)
-                for p in paths("triples")
-            ),
+            (pa.Table.from_batches([b]) for b in scan),
             canon_map,
         )
         pq.write_table(nodes, os.path.join(path, "nodes.parquet"))

@@ -6363,45 +6363,29 @@ def q_events_late_arrivals(sf_dir: str):
     ONE key-hash exchange; the per-bucket reduce is a sort + C-level
     grouped cummax + vectorized compare, aggregated per user inside the
     bucket (each user fully co-located)."""
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame(
-                {
-                    "user_id": np.zeros(0, np.int64),
-                    "n_events": np.zeros(0, np.int64),
-                    "n_out_of_order": np.zeros(0, np.int64),
-                    "max_lateness_us": np.zeros(0, np.int64),
-                }
-            )
-        g = g.sort_values(["user_id", "event_id"], kind="stable")
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         ts = g["ts_us"].to_numpy(dtype=np.int64)
-        grp = g.groupby("user_id", sort=False)
-        cm = grp["ts_us"].cummax().to_numpy(dtype=np.int64)
-        pos = grp.cumcount().to_numpy()
-        idx = np.arange(len(g))
-        prev_cm = np.where(pos > 0, cm[np.maximum(idx - 1, 0)], np.int64(0))
-        late = (pos > 0) & (ts < prev_cm)
+        cm = (
+            g.groupby("user_id", sort=False)["ts_us"].cummax()
+            .to_numpy(dtype=np.int64)
+        )
+        prev_cm = np.concatenate([[np.int64(0)], cm[:-1]])
+        late = ~first & (ts < prev_cm)
         lateness = np.where(late, prev_cm - ts, 0).astype(np.int64)
-        out = pd.DataFrame(
+        starts = np.flatnonzero(first)
+        return pd.DataFrame(
             {
-                "user_id": g["user_id"].to_numpy(),
-                "one": np.ones(len(g), np.int64),
-                "late": late.astype(np.int64),
-                "lateness": lateness,
+                "user_id": g["user_id"].to_numpy()[starts],
+                "n_events": np.diff(np.append(starts, len(g))),
+                "n_out_of_order": np.add.reduceat(late.astype(np.int64), starts),
+                "max_lateness_us": np.maximum.reduceat(lateness, starts),
             }
-        ).groupby("user_id", sort=False).agg(
-            n_events=("one", "sum"),
-            n_out_of_order=("late", "sum"),
-            max_lateness_us=("lateness", "max"),
-        ).reset_index()
-        return out.astype({"n_events": np.int64,
-                           "n_out_of_order": np.int64,
-                           "max_lateness_us": np.int64})
+        )
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts"])
-    return keyed_exchange(
+    return keyed_runs(
         ds.map_batches(
             lambda t: pa.table(
                 {
@@ -6412,7 +6396,7 @@ def q_events_late_arrivals(sf_dir: str):
             ),
             batch_format="pyarrow",
         ),
-        "user_id", reduce_bucket,
+        "user_id", ["event_id"], reduce_bucket,
     )
 
 
@@ -6779,17 +6763,13 @@ def q_kg_entity_components(sf_dir: str):
     smallest member canon — and size.  The graph-health rollup that
     surfaces whether the KG is one giant hairball or many islands.
     Scale shape: entities hash to md5-u60 int keys so
-    ``graph.connected_components`` runs on int64s; the string label
-    comes back from ONE per-component min over the (hash → canon) map —
+    ``graph.connected_components`` runs on int64s; its driver-resident
+    ``(node, label)`` table joins the distinct (hash → canon) pairs in
+    pyarrow, and one per-label string min restores the label —
     matching SQL's min-string semantics exactly."""
     import hashlib
 
-    import ray.data as rd
-
     from gliner_cpp_ray.stages.graph import connected_components
-    from gliner_cpp_ray.stages.joins import (
-        bucketed_group_agg, bucketed_hash_join, keyed_exchange,
-    )
 
     def h60(s: str) -> int:  # md5-u60: int64-safe, repo-wide convention
         return int(hashlib.md5(s.encode("utf-8")).hexdigest()[:15], 16)
@@ -6810,49 +6790,28 @@ def q_kg_entity_components(sf_dir: str):
         )
 
     hashed = edges.map_batches(hash_pair, batch_format="pyarrow").materialize()
-    labels = rd.from_arrow(connected_components(hashed))
+    labels = connected_components(hashed)
 
-    # (hash -> canon) map is 1:1 by construction (node id = hash of the
-    # canon); a keyed count dedupes the pairs without touching strings
-    names = bucketed_group_agg(
-        hashed.map_batches(
-            lambda t: pa.table(
-                {
-                    "node": pa.concat_arrays(
-                        [t.column("a").combine_chunks(),
-                         t.column("b").combine_chunks()]
-                    ),
-                    "canon": pa.concat_arrays(
-                        [t.column("subj_canon").combine_chunks().cast(pa.string()),
-                         t.column("obj_canon").combine_chunks().cast(pa.string())]
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-        ),
-        ["node", "canon"], agg="count", out_col="n",
-    ).drop_columns(["n"])
-    joined = bucketed_hash_join(
-        labels, names, on="node",
-        left_schema=pa.schema([("node", pa.int64()), ("label", pa.int64())]),
-        right_schema=pa.schema([("node", pa.int64()), ("canon", pa.string())]),
+    # (hash -> canon) is 1:1 by construction (node id = hash of the canon)
+    names = [pa.table({"node": pa.array([], pa.int64()),
+                       "canon": pa.array([], pa.string())})]
+    for t in hashed.iter_batches(batch_format="pyarrow", batch_size=None):
+        if t.num_rows:  # an empty block may carry no schema
+            for node, canon in (("a", "subj_canon"), ("b", "obj_canon")):
+                names.append(pa.table({
+                    "node": t.column(node),
+                    "canon": t.column(canon).cast(pa.string()),
+                }))
+    pairs = pa.concat_tables(names).group_by(["node", "canon"]).aggregate([])
+    comps = (
+        labels.join(pairs, "node")
+        .group_by("label")
+        .aggregate([("canon", "min"), ("canon", "count")])
     )
-
-    # final rollup keeps the STRING min (the lexicographically smallest
-    # member canon), so it reduces via pandas per label-hash bucket
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame(
-                {"component": pd.array([], dtype="string"),
-                 "n_nodes": np.zeros(0, np.int64)}
-            )
-        out = g.groupby("label", sort=False).agg(
-            component=("canon", "min"), n_nodes=("canon", "size")
-        ).reset_index(drop=True)
-        out["n_nodes"] = out["n_nodes"].astype(np.int64)
-        return out[["component", "n_nodes"]]
-
-    return keyed_exchange(joined, "label", reduce_bucket, 8)
+    return pa.table({
+        "component": comps.column("canon_min"),
+        "n_nodes": comps.column("canon_count").cast(pa.int64()),
+    })
 
 
 def q_ship_priority_mix(sf_dir: str):
@@ -8023,7 +7982,7 @@ def q_user_coverage_time(sf_dir: str):
     Σ max(0, end − max(start, prev_max_end))) — int64-exact epoch µs,
     no per-row Python.  The SQL twin is the windowed prev-max-end
     formulation."""
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs
     from gliner_cpp_ray.stages.sizing import bytes_scaled_partitions
 
     span_us = 300 * 1_000_000
@@ -8039,28 +7998,24 @@ def q_user_coverage_time(sf_dir: str):
         batch_format="pyarrow",
     )
 
-    def sweep(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["user_id", "s"], kind="mergesort")
-        u = g["user_id"].to_numpy(np.int64)
-        s = g["s"].to_numpy(np.int64)
-        e = s + span_us
+    def sweep(g: pd.DataFrame, first: np.ndarray) -> pa.Table:
+        e = g["s"].to_numpy(np.int64) + span_us
         # constant span ⇒ ends are non-decreasing within a user, so the
         # running max of preceding ends IS the previous row's end; each
         # interval adds min(span, e − prev_e), a fresh user adds span
-        new_user = np.empty(len(u), bool)
-        if len(u):
-            new_user[0] = True
-            new_user[1:] = u[1:] != u[:-1]
         prev_e = np.roll(e, 1)
         add = np.where(
-            new_user, np.int64(span_us), np.minimum(span_us, e - prev_e)
+            first, np.int64(span_us), np.minimum(span_us, e - prev_e)
         )
-        out = pd.DataFrame({"user_id": u, "covered_us": add}).groupby(
-            "user_id", sort=False
-        )["covered_us"].sum().reset_index()
-        return pa.Table.from_pandas(out, preserve_index=False)
+        starts = np.flatnonzero(first)
+        return pa.table(
+            {
+                "user_id": g["user_id"].to_numpy(np.int64)[starts],
+                "covered_us": np.add.reduceat(add, starts),
+            }
+        )
 
-    return keyed_exchange(ds, "user_id", sweep, nb)
+    return keyed_runs(ds, "user_id", ["s"], sweep, nb)
 
 
 def q_lineitem_weighted_median(sf_dir: str):
@@ -8316,7 +8271,7 @@ def q_orders_partition_checksums(sf_dir: str):
     machinery (not a key-walking groupby) does the merge."""
     import hashlib
 
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs
     from gliner_cpp_ray.stages.sizing import bytes_scaled_partitions
 
     nb = bytes_scaled_partitions(_path_bytes(_sf_path(sf_dir, "orders")))
@@ -8363,15 +8318,11 @@ def q_orders_partition_checksums(sf_dir: str):
             }
         )
 
-    def reduce(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values("part_id", kind="mergesort")
-        part = g["part_id"].to_numpy(np.int64)
-        starts = np.flatnonzero(
-            np.concatenate([[True], part[1:] != part[:-1]])
-        )
-        out = pd.DataFrame(
+    def reduce(g: pd.DataFrame, first: np.ndarray) -> pa.Table:
+        starts = np.flatnonzero(first)
+        return pa.table(
             {
-                "part_id": part[starts],
+                "part_id": g["part_id"].to_numpy(np.int64)[starts],
                 "n_rows": np.add.reduceat(
                     g["n_rows"].to_numpy(np.int64), starts
                 ),
@@ -8380,11 +8331,11 @@ def q_orders_partition_checksums(sf_dir: str):
                 ),
             }
         )
-        return pa.Table.from_pandas(out, preserve_index=False)
 
     ds = _read(sf_dir, "orders")
-    return keyed_exchange(
-        ds.map_batches(partial, batch_format="pyarrow"), "part_id", reduce, nb
+    return keyed_runs(
+        ds.map_batches(partial, batch_format="pyarrow"), "part_id", [], reduce,
+        nb,
     )
 
 
@@ -10464,7 +10415,7 @@ def q_purchase_attribution(sf_dir: str):
     twin is last_value(... IGNORE NULLS) over the user window."""
     from ray.data.aggregate import Sum
 
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs
     from gliner_cpp_ray.stages.sizing import bytes_scaled_partitions
 
     nb = bytes_scaled_partitions(_path_bytes(_sf_path(sf_dir, "events")))
@@ -10484,26 +10435,13 @@ def q_purchase_attribution(sf_dir: str):
             }
         )
 
-    def attribute(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["user_id", "us", "event_id"], kind="mergesort")
-        u = g["user_id"].to_numpy(np.int64)
+    def attribute(g: pd.DataFrame, first: np.ndarray) -> pa.Table:
         us = g["us"].to_numpy(np.int64)
         typ = g["event_type"].to_numpy()
         vm = g["vm"].to_numpy(np.int64)
         n = len(g)
-        if n == 0:
-            return pa.table(
-                {
-                    "attributed_type": pa.array([], pa.string()),
-                    "n_purchases": pa.array([], pa.int64()),
-                    "value_milli": pa.array([], pa.int64()),
-                }
-            )
         pos = np.arange(n, dtype=np.int64)
-        new_user = np.empty(n, bool)
-        new_user[0] = True
-        new_user[1:] = u[1:] != u[:-1]
-        seg = np.cumsum(new_user) - 1
+        seg = np.cumsum(first) - 1
         is_np = typ != "purchase"
         BIG = np.int64(n + 1)
         # offset-encode so the running max can never leak across user
@@ -10541,9 +10479,9 @@ def q_purchase_attribution(sf_dir: str):
         )
 
     return (
-        keyed_exchange(
+        keyed_runs(
             _read(sf_dir, "events").map_batches(project, batch_format="pyarrow"),
-            "user_id", attribute, nb,
+            "user_id", ["us", "event_id"], attribute, nb,
         )
         .groupby("attributed_type")
         .aggregate(
@@ -11547,7 +11485,7 @@ def q_events_hourly_ohlc(sf_dir: str):
     the per-bucket reduce is a single sort + vectorized groupby
     (first/last are positional heads of the sorted runs, never a
     per-bar Python loop); bar count is calendar-bounded."""
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs
     from gliner_cpp_ray.stages.sizing import bytes_scaled_partitions
 
     nb = bytes_scaled_partitions(_path_bytes(_sf_path(sf_dir, "events")))
@@ -11569,28 +11507,28 @@ def q_events_hourly_ohlc(sf_dir: str):
             }
         )
 
-    def bars(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(
-            ["event_type", "hour", "us", "event_id"], kind="mergesort"
+    def bars(g: pd.DataFrame, first: np.ndarray) -> pa.Table:
+        starts = np.flatnonzero(first)
+        ends = np.append(starts[1:], len(g))
+        vm = g["vm"].to_numpy(np.int64)
+        return pa.table(
+            {
+                "event_type": pa.array(g["event_type"].to_numpy()[starts],
+                                       pa.string()),
+                "hour": g["hour"].to_numpy(np.int64)[starts],
+                "open_milli": vm[starts],
+                "high_milli": np.maximum.reduceat(vm, starts),
+                "low_milli": np.minimum.reduceat(vm, starts),
+                "close_milli": vm[ends - 1],
+                "n_events": ends - starts,
+            }
         )
-        grp = g.groupby(["event_type", "hour"], sort=False)["vm"]
-        out = grp.agg(
-            open_milli="first",
-            high_milli="max",
-            low_milli="min",
-            close_milli="last",
-            n_events="size",
-        ).reset_index()
-        for c in ["open_milli", "high_milli", "low_milli",
-                  "close_milli", "n_events"]:
-            out[c] = out[c].astype(np.int64)
-        return pa.Table.from_pandas(out, preserve_index=False)
 
-    return keyed_exchange(
+    return keyed_runs(
         _read(sf_dir, "events",
               columns=["event_type", "ts", "event_id", "value"])
         .map_batches(project, batch_format="pyarrow"),
-        ["event_type", "hour"], bars, nb,
+        ["event_type", "hour"], ["us", "event_id"], bars, nb,
     )
 
 

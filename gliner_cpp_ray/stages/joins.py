@@ -4,7 +4,13 @@
   key hash, sort-based ``groupby("__bucket")``, one vectorized reduce
   per whole bucket.  Grouped aggregates, per-key window/sequence
   reduces and the KG edge reduce all run on it (``bucketed_group_agg``
-  and ``banded_self_pairs`` are thin clients).
+  is a thin client).
+* ``keyed_runs`` — THE ordered per-key reduce, built on
+  ``keyed_exchange``: each bucket sorted stably by (keys, order) and
+  handed to the reduce with one ``first`` mask marking where each key's
+  run starts (``run_starts`` maps it to run-start positions).  The
+  window, sequence and session operators, ``banded_self_pairs``, the
+  grouped median and the budget cut keep only their own arithmetic.
 * ``keyed_cogroup`` — THE two-input exchange, built on
   ``keyed_exchange``: tag each side with ``__side``, pad both to one
   schema (``_tagged_union``, the one home of the int-upcast guard
@@ -117,6 +123,36 @@ def keyed_exchange(ds, keys, reduce_fn, n_buckets: int | None = None):
             batch_format="pandas",
         )
     )
+
+
+def keyed_runs(ds, keys, order, reduce_fn, n_buckets: int | None = None):
+    """THE ordered per-key reduce, built on ``keyed_exchange``: each
+    bucket's rows are sorted stably by ``(*keys, *order)`` and handed
+    to ``reduce_fn(g, first)``, where ``first`` is True at row 0 and
+    wherever any key column changes — each key's rows form one run
+    that starts at a ``first`` row.  The reduce adds only its own
+    arithmetic (``run_starts`` gives every row its run's start)."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    by = [*keys, *order]
+
+    def reduce(g: pd.DataFrame):
+        g = g.sort_values(by, kind="stable")
+        same = np.zeros(len(g), dtype=bool)
+        same[1:] = True
+        for k in keys:
+            kv = g[k].to_numpy()
+            same[1:] &= kv[1:] == kv[:-1]
+        return reduce_fn(g, ~same)
+
+    return keyed_exchange(ds, keys, reduce, n_buckets)
+
+
+def run_starts(first: np.ndarray) -> np.ndarray:
+    """Each row's position of its run's first row (``first`` as
+    ``keyed_runs`` passes it); ``arange - run_starts`` is the row's
+    0-based ordinal within its key."""
+    pos = np.arange(len(first), dtype=np.int64)
+    return np.maximum.accumulate(np.where(first, pos, 0))
 
 
 def bucketed_group_agg(ds, keys, agg: str | None = None,
@@ -729,13 +765,12 @@ def banded_self_pairs(ds, key_cols: list[str], ts_col: str, id_col: str,
         raise ValueError("band must be >= 0")
     out_1, out_2 = f"{id_col}_1", f"{id_col}_2"
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         empty = pd.DataFrame(
             {out_1: np.zeros(0, np.int64), out_2: np.zeros(0, np.int64)}
         )
         if len(g) < 2:
             return empty
-        g = g.sort_values([*key_cols, ts_col, id_col], kind="stable")
         if g[ts_col].dtype.kind not in "iu":
             # a datetime64 column would silently flip the band's unit
             # (pandas surfaces ns); make the caller quantize explicitly
@@ -745,12 +780,7 @@ def banded_self_pairs(ds, key_cols: list[str], ts_col: str, id_col: str,
             )
         ts = g[ts_col].to_numpy().astype(np.int64)
         ids = g[id_col].to_numpy()
-        same = np.zeros(len(g), dtype=bool)
-        same[1:] = True
-        for k in key_cols:
-            kv = g[k].to_numpy()
-            same[1:] &= kv[1:] == kv[:-1]
-        run_id = np.cumsum(~same) - 1
+        run_id = np.cumsum(first) - 1
         span = int(ts.max()) - int(ts.min())
         stride = span + band + 1
         if int(run_id[-1] + 1) * stride >= (1 << 62):
@@ -776,7 +806,7 @@ def banded_self_pairs(ds, key_cols: list[str], ts_col: str, id_col: str,
         right = np.arange(total) - np.repeat(offs, n_i) + left + 1
         return pd.DataFrame({out_1: ids[left], out_2: ids[right]})
 
-    return keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
+    return keyed_runs(ds, key_cols, [ts_col, id_col], reduce_bucket, n_buckets)
 
 
 def join_skew_report(left, right, left_key: str, right_key: str,

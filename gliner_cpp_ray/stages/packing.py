@@ -362,29 +362,13 @@ def assemble_key_histories(ds, key_cols: list[str], ts_col: str,
     survivors per key.  The join output is bounded by head_k short
     values per key, so the per-key work (unlike the corpus) is O(1).
     """
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs, run_starts
 
     if head_k < 1:
         raise ValueError("head_k must be >= 1")
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame(
-                {
-                    **{k: np.zeros(0, np.int64) for k in key_cols},
-                    "n_events_used": np.zeros(0, np.int64),
-                    out_col: np.zeros(0, object),
-                }
-            )
-        g = g.sort_values([*key_cols, ts_col, id_col], kind="stable")
-        same = np.zeros(len(g), dtype=bool)
-        same[1:] = True
-        for k in key_cols:
-            kv = g[k].to_numpy()
-            same[1:] &= kv[1:] == kv[:-1]
-        pos = np.arange(len(g), dtype=np.int64)
-        run_start = np.maximum.accumulate(np.where(~same, pos, 0))
-        seq = pos - run_start
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
+        seq = np.arange(len(g), dtype=np.int64) - run_starts(first)
         kept = g.iloc[seq < head_k]
         out = (
             kept.groupby(key_cols, sort=False)[val_col]
@@ -394,7 +378,7 @@ def assemble_key_histories(ds, key_cols: list[str], ts_col: str,
         out["n_events_used"] = out["n_events_used"].astype(np.int64)
         return out
 
-    return keyed_exchange(ds, key_cols, reduce_bucket)
+    return keyed_runs(ds, key_cols, [ts_col, id_col], reduce_bucket)
 
 
 def grouped_order_rank(ds, group_col: str, val_col: str, id_col: str,
@@ -546,49 +530,42 @@ def subsequence_triple_support(ds, key_cols: list[str], ts_col: str,
     """
     from ray.data.aggregate import Sum
 
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs
 
     if alphabet_size < 1 or alphabet_size > 62:
         raise ValueError("alphabet_size must be in [1, 62]")
     A = alphabet_size
 
-    def reduce_bucket(g: pd.DataFrame) -> pa.Table:
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pa.Table:
         supp = np.zeros((A, A, A), np.int64)
-        if len(g):
-            g = g.sort_values([*key_cols, ts_col, id_col], kind="stable")
-            s_all = g[code_col].to_numpy(np.int64)
-            same = np.zeros(len(g), dtype=bool)
-            same[1:] = True
-            for k in key_cols:
-                kv = g[k].to_numpy()
-                same[1:] &= kv[1:] == kv[:-1]
-            starts = np.flatnonzero(~same)
-            bounds = np.append(starts, len(g))
-            bits_all = (np.int64(1) << s_all)
-            for i in range(len(starts)):
-                s = s_all[bounds[i]:bounds[i + 1]]
-                if len(s) < 3:
+        s_all = g[code_col].to_numpy(np.int64)
+        starts = np.flatnonzero(first)
+        bounds = np.append(starts, len(g))
+        bits_all = (np.int64(1) << s_all)
+        for i in range(len(starts)):
+            s = s_all[bounds[i]:bounds[i + 1]]
+            if len(s) < 3:
+                continue
+            bits = bits_all[bounds[i]:bounds[i + 1]]
+            # exclusive suffix OR-mask of codes after each position
+            suf = np.zeros(len(s), np.int64)
+            suf[:-1] = np.bitwise_or.accumulate(bits[::-1])[::-1][1:]
+            pos = [np.flatnonzero(s == b) for b in range(A)]
+            for x in range(A):
+                if not len(pos[x]):
                     continue
-                bits = bits_all[bounds[i]:bounds[i + 1]]
-                # exclusive suffix OR-mask of codes after each position
-                suf = np.zeros(len(s), np.int64)
-                suf[:-1] = np.bitwise_or.accumulate(bits[::-1])[::-1][1:]
-                pos = [np.flatnonzero(s == b) for b in range(A)]
-                for x in range(A):
-                    if not len(pos[x]):
+                fx = pos[x][0]
+                for b in range(A):
+                    idx = np.searchsorted(pos[b], fx + 1)
+                    if idx >= len(pos[b]):
                         continue
-                    fx = pos[x][0]
-                    for b in range(A):
-                        idx = np.searchsorted(pos[b], fx + 1)
-                        if idx >= len(pos[b]):
-                            continue
-                        mask = int(suf[pos[b][idx]])
-                        z = 0
-                        while mask:
-                            if mask & 1:
-                                supp[x, b, z] += 1
-                            mask >>= 1
-                            z += 1
+                    mask = int(suf[pos[b][idx]])
+                    z = 0
+                    while mask:
+                        if mask & 1:
+                            supp[x, b, z] += 1
+                        mask >>= 1
+                        z += 1
         nz = np.flatnonzero(supp.ravel())
         c1, rem = np.divmod(nz, A * A)
         c2, c3 = np.divmod(rem, A)
@@ -602,7 +579,7 @@ def subsequence_triple_support(ds, key_cols: list[str], ts_col: str,
         )
 
     return (
-        keyed_exchange(ds, key_cols, reduce_bucket)
+        keyed_runs(ds, key_cols, [ts_col, id_col], reduce_bucket)
         .groupby(["c1", "c2", "c3"])
         .aggregate(Sum("n_keys", alias_name="n_keys"))
     )

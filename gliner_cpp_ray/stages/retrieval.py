@@ -329,7 +329,7 @@ def term_postings(ds, id_col: str = "doc_id", text_col: str = "text",
     written sharded — bounded heads keep the driver-checkable contract
     exact."""
     from gliner_cpp_ray.stages.joins import (
-        bucketed_group_agg, bucketed_hash_join, keyed_exchange,
+        bucketed_group_agg, bucketed_hash_join, keyed_runs,
     )
     from gliner_cpp_ray.stages.sizing import default_buckets
     from gliner_cpp_ray.stages.skew import grouped_top_k
@@ -354,25 +354,18 @@ def term_postings(ds, id_col: str = "doc_id", text_col: str = "text",
         n_buckets=n_buckets,
     )
 
-    def assemble(g: pd.DataFrame) -> pa.Table:
-        if not len(g):
-            return pa.schema(
-                [("term", pa.string()), ("posting_head", pa.string())]
-            ).empty_table()
-        g = g.sort_values(["term", "doc_id"], kind="stable")
-        joined = (
-            g.groupby("term", sort=False)["doc_id"]
-            .apply(lambda s: ",".join(str(v) for v in s))
-            .reset_index(name="posting_head")
-        )
+    def assemble(g: pd.DataFrame, first: np.ndarray) -> pa.Table:
+        runs = np.split(g["doc_id"].to_numpy(), np.flatnonzero(first)[1:])
         return pa.table(
             {
-                "term": pa.array(joined["term"], pa.string()),
-                "posting_head": pa.array(joined["posting_head"], pa.string()),
+                "term": pa.array(g["term"].to_numpy()[first], pa.string()),
+                "posting_head": pa.array(
+                    [",".join(map(str, r)) for r in runs], pa.string()
+                ),
             }
         )
 
-    posting = keyed_exchange(heads, ["term"], assemble, n_buckets)
+    posting = keyed_runs(heads, ["term"], ["doc_id"], assemble, n_buckets)
 
     return bucketed_hash_join(
         df_tbl, posting, on="term", n_buckets=n_buckets,

@@ -801,30 +801,17 @@ def grouped_exact_median(ds, key_cols: list[str], val_col: str,
     that one never moves the data but handles ONE global rank; this one
     shuffles the value column once and answers every group.
     """
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame(
-                {
-                    **{k: np.zeros(0, np.int64) for k in key_cols},
-                    out_col: np.zeros(0, np.int64),
-                }
-            )
-        g = g.sort_values([*key_cols, val_col], kind="stable")
-        same = np.zeros(len(g), dtype=bool)
-        same[1:] = True
-        for k in key_cols:
-            kv = g[k].to_numpy()
-            same[1:] &= kv[1:] == kv[:-1]
-        starts = np.flatnonzero(~same)
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
+        starts = np.flatnonzero(first)
         ends = np.append(starts[1:], len(g))
         med_pos = starts + (ends - starts - 1) // 2
         out = g.iloc[starts][key_cols].copy()
         out[out_col] = g[val_col].to_numpy()[med_pos]
         return out
 
-    return keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
+    return keyed_runs(ds, key_cols, [val_col], reduce_bucket, n_buckets)
 
 
 def grouped_mad(ds, key_cols: list[str], val_col: str,

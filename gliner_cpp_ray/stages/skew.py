@@ -245,38 +245,22 @@ def budget_capped_head(ds, key_cols: list[str], order_cols: list[str],
     ordinals AND per-run budgets from run lengths in a single
     vectorized pass — no per-key frames, no second join.
     """
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs, run_starts
 
     if den < 1 or num < 0 or add < 0:
         raise ValueError("need den >= 1, num >= 0, add >= 0")
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame(
-                {
-                    **{k: np.zeros(0, np.int64) for k in key_cols},
-                    id_col: np.zeros(0, np.int64),
-                    "seq": np.zeros(0, np.int64),
-                    "budget": np.zeros(0, np.int64),
-                }
-            )
-        g = g.sort_values([*key_cols, *order_cols, id_col], kind="stable")
-        same = np.zeros(len(g), dtype=bool)
-        same[1:] = True
-        for k in key_cols:
-            kv = g[k].to_numpy()
-            same[1:] &= kv[1:] == kv[:-1]
-        pos = np.arange(len(g), dtype=np.int64)
-        run_start = np.maximum.accumulate(np.where(~same, pos, 0))
-        starts = np.flatnonzero(~same)
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
+        starts = np.flatnonzero(first)
         run_len = np.diff(np.append(starts, len(g)))
         length = np.repeat(run_len, run_len)
         budget = length * num // den + add
-        seq = pos - run_start + 1
+        seq = np.arange(len(g), dtype=np.int64) - run_starts(first) + 1
         keep = seq <= budget
         out = g.iloc[keep][[*key_cols, id_col]].reset_index(drop=True)
         out["seq"] = seq[keep]
         out["budget"] = budget[keep]
         return out
 
-    return keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
+    return keyed_runs(ds, key_cols, [*order_cols, id_col], reduce_bucket,
+                      n_buckets)

@@ -12,12 +12,15 @@ partitioned log:
   and the final rolling pass is SPARSE (searchsorted over the sorted
   present buckets), so a years-wide timestamp range with sparse
   activity costs O(present buckets), never O(range);
-* ``session_counts`` — per-key gap-based sessions, bucketed by key
-  hash: one ``groupby(bucket).map_groups`` whose reduce sorts the WHOLE
-  bucket by (key, ts) and counts session starts with one vectorized
-  diff pass — never one-row-per-key pandas frames (the reducer
-  anti-pattern; see canonicalize.reduce_edge_bucket for the same
-  shape on the KG edge stream).
+* ``session_counts`` — per-key gap-based sessions: one
+  ``joins.keyed_runs`` exchange hands each key-hash bucket to the
+  reduce sorted by (key, ts) with its key-run starts marked, and the
+  reduce counts session starts with one vectorized diff pass — never
+  one-row-per-key pandas frames (the reducer anti-pattern).
+
+The per-key ordered operators below (rolling, debounce, lag, sequence
+numbers, sessions, gaps, n-grams) all run on ``keyed_runs`` the same
+way and add only their own arithmetic.
 
 All emit integer columns for exact oracle comparison.
 """
@@ -104,30 +107,24 @@ def session_counts(ds, key_col: str = "user_id", ts_col: str = "ts",
     the gap exceeds ``gap_s``, then a C-level groupby-sum per key.  At
     millions of users this does no per-key Python; cost is
     O(bucket log bucket)."""
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col], kind="stable")
-        keys = g[key_col].to_numpy()
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         ts = g[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
-        if not len(g):
-            return pd.DataFrame(
-                {key_col: keys, "n_sessions": np.zeros(0, np.int64)}
-            )
-        new_start = np.empty(len(g), dtype=bool)
-        new_start[0] = True
-        new_start[1:] = (keys[1:] != keys[:-1]) | (
-            ts[1:] - ts[:-1] > gap_s * US
-        )
+        new_start = first.copy()
+        new_start[1:] |= ts[1:] - ts[:-1] > gap_s * US
         out = (
-            pd.DataFrame({key_col: keys, "n_sessions": new_start.astype(np.int64)})
+            pd.DataFrame(
+                {key_col: g[key_col].to_numpy(),
+                 "n_sessions": new_start.astype(np.int64)}
+            )
             .groupby(key_col, sort=False, as_index=False)["n_sessions"]
             .sum()
         )
         out["n_sessions"] = out["n_sessions"].astype(np.int64)
         return out
 
-    return keyed_exchange(ds, key_col, reduce_bucket, n_buckets)
+    return keyed_runs(ds, key_col, [ts_col], reduce_bucket, n_buckets)
 
 
 def rolling_per_key(ds, key_col: str, ts_col: str, val_col: str,
@@ -149,32 +146,23 @@ def rolling_per_key(ds, key_col: str, ts_col: str, val_col: str,
     cumsum-difference (int64-exact for the full int64 range — pandas
     ``rolling().sum()`` would round-trip through float64 and silently
     break exactness past 2^53) — no per-key Python."""
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs, run_starts
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame(
-                {id_col: np.zeros(0, np.int64),
-                 "roll_sum": np.zeros(0, np.int64)}
-            )
-        g = g.sort_values([key_col, ts_col, id_col], kind="stable")
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         # int64-exact rolling sum via per-key cumsum differences —
         # pandas rolling().sum() goes through float64 and silently
         # loses exactness past 2^53; cumsum-shift stays integer
-        grp = g.groupby(key_col, sort=False)
-        gcs = grp[val_col].cumsum().to_numpy(dtype=np.int64)
-        pos = grp.cumcount().to_numpy()
+        v = g[val_col].to_numpy(dtype=np.int64)
+        rs = run_starts(first)
+        cs = np.cumsum(v)
+        gcs = cs - cs[rs] + v[rs]
         idx = np.arange(len(g))
+        pos = idx - rs
         prev = np.where(pos >= window, idx - window, 0)
         roll = gcs - np.where(pos >= window, gcs[prev], 0)
-        return pd.DataFrame(
-            {
-                id_col: g[id_col].to_numpy(),
-                "roll_sum": roll.astype(np.int64),
-            }
-        )
+        return pd.DataFrame({id_col: g[id_col].to_numpy(), "roll_sum": roll})
 
-    return keyed_exchange(ds, key_col, reduce_bucket, n_buckets)
+    return keyed_runs(ds, key_col, [ts_col, id_col], reduce_bucket, n_buckets)
 
 
 def debounce_events(ds, key_cols: list[str], ts_col: str, id_col: str,
@@ -189,24 +177,15 @@ def debounce_events(ds, key_cols: list[str], ts_col: str, id_col: str,
     shuffle (composite keys hashed together), per-bucket vectorized
     sort + diff — the session_counts machinery pointed at retention
     filtering instead of counting."""
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame({id_col: np.zeros(0, np.int64)})
-        g = g.sort_values([*key_cols, ts_col, id_col], kind="stable")
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         ts = g[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
-        same = np.ones(len(g), dtype=bool)
-        same[0] = False
-        for k in key_cols:
-            kv = g[k].to_numpy()
-            same[1:] &= kv[1:] == kv[:-1]
-        keep = np.ones(len(g), dtype=bool)
-        keep[1:] = ~same[1:] | (ts[1:] - ts[:-1] > gap_s * US)
-        keep[0] = True
+        keep = first.copy()
+        keep[1:] |= ts[1:] - ts[:-1] > gap_s * US
         return pd.DataFrame({id_col: g[id_col].to_numpy()[keep]})
 
-    return keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
+    return keyed_runs(ds, key_cols, [ts_col, id_col], reduce_bucket, n_buckets)
 
 
 def lag_delta_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
@@ -219,33 +198,17 @@ def lag_delta_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
     -> Dataset(id, out_col).  Same scale shape as ``debounce_events``:
     ONE composite-key-hash bucket shuffle, per-bucket vectorized
     sort + shifted subtraction."""
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame(
-                {
-                    id_col: np.zeros(0, np.int64),
-                    out_col: np.zeros(0, np.int64),
-                }
-            )
-        g = g.sort_values([*key_cols, ts_col, id_col], kind="stable")
-        same = np.zeros(len(g), dtype=bool)
-        same[1:] = True
-        for k in key_cols:
-            kv = g[k].to_numpy()
-            same[1:] &= kv[1:] == kv[:-1]
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         v = g[val_col].to_numpy().astype(np.int64)
         delta = np.empty(len(g), np.int64)
         delta[1:] = v[1:] - v[:-1]
         return pd.DataFrame(
-            {
-                id_col: g[id_col].to_numpy()[same],
-                out_col: delta[same],
-            }
+            {id_col: g[id_col].to_numpy()[~first], out_col: delta[~first]}
         )
 
-    return keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
+    return keyed_runs(ds, key_cols, [ts_col, id_col], reduce_bucket, n_buckets)
 
 
 def transition_counts(ds, key_cols: list[str], ts_col: str, id_col: str,
@@ -259,9 +222,9 @@ def transition_counts(ds, key_cols: list[str], ts_col: str, id_col: str,
     partial n) — state-pair cardinality bounded — merged by one tiny
     grouped Sum."""
     from ray.data.aggregate import Sum
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         empty = pd.DataFrame(
             {
                 "state": pd.Series(dtype=object),
@@ -269,13 +232,7 @@ def transition_counts(ds, key_cols: list[str], ts_col: str, id_col: str,
                 "n": pd.Series(dtype=np.int64),
             }
         )
-        if len(g) < 2:
-            return empty
-        g = g.sort_values([*key_cols, ts_col, id_col], kind="stable")
-        same = np.ones(len(g) - 1, dtype=bool)
-        for k in key_cols:
-            kv = g[k].to_numpy()
-            same &= kv[1:] == kv[:-1]
+        same = ~first[1:]
         if not same.any():
             return empty
         st = g[state_col].to_numpy()
@@ -291,7 +248,8 @@ def transition_counts(ds, key_cols: list[str], ts_col: str, id_col: str,
         )
         return out
 
-    partials = keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
+    partials = keyed_runs(ds, key_cols, [ts_col, id_col], reduce_bucket,
+                          n_buckets)
     # final merge: state-pair-cardinality-bounded grouped Sum
     return partials.groupby(["state", "next_state"]).aggregate(
         Sum("n", alias_name="n")
@@ -410,35 +368,13 @@ def seq_numbers_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
     per-bucket vectorized sort + run-relative cumcount (no per-key
     pandas groups — one diff pass finds key starts, one subtract turns
     global positions into within-key ordinals)."""
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs, run_starts
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame(
-                {
-                    id_col: np.zeros(0, np.int64),
-                    out_col: np.zeros(0, np.int64),
-                }
-            )
-        g = g.sort_values([*key_cols, ts_col, id_col], kind="stable")
-        # a row continues its predecessor's run iff ALL key cols match
-        same = np.zeros(len(g), dtype=bool)
-        same[1:] = True
-        for k in key_cols:
-            kv = g[k].to_numpy()
-            same[1:] &= kv[1:] == kv[:-1]
-        new_key = ~same
-        pos = np.arange(len(g), dtype=np.int64)
-        # position of each row's key-run start, broadcast by cummax
-        run_start = np.maximum.accumulate(np.where(new_key, pos, 0))
-        return pd.DataFrame(
-            {
-                id_col: g[id_col].to_numpy(),
-                out_col: pos - run_start + 1,
-            }
-        )
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
+        seq = np.arange(len(g), dtype=np.int64) - run_starts(first) + 1
+        return pd.DataFrame({id_col: g[id_col].to_numpy(), out_col: seq})
 
-    return keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
+    return keyed_runs(ds, key_cols, [ts_col, id_col], reduce_bucket, n_buckets)
 
 
 def session_ids_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
@@ -457,40 +393,25 @@ def session_ids_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
     per-bucket reduce is sort + diff + run-relative cumsum — no per-key
     frames.
     """
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs, run_starts
 
     if gap_us < 0:
         raise ValueError("gap_us must be >= 0")
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame(
-                {
-                    id_col: np.zeros(0, np.int64),
-                    out_col: np.zeros(0, np.int64),
-                }
-            )
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         if g[ts_col].dtype.kind not in "iu":
             raise TypeError(
                 f"session_ids_per_key needs an integer {ts_col!r} column "
                 "(cast timestamps to micro-epoch first)"
             )
-        g = g.sort_values([*key_cols, ts_col, id_col], kind="stable")
         ts = g[ts_col].to_numpy().astype(np.int64)
-        same = np.zeros(len(g), dtype=bool)
-        same[1:] = True
-        for k in key_cols:
-            kv = g[k].to_numpy()
-            same[1:] &= kv[1:] == kv[:-1]
-        new = ~same
-        new[1:] |= same[1:] & ((ts[1:] - ts[:-1]) > gap_us)
+        new = first.copy()
+        new[1:] |= (ts[1:] - ts[:-1]) > gap_us
         cs = np.cumsum(new.astype(np.int64))
-        pos = np.arange(len(g), dtype=np.int64)
-        run_start = np.maximum.accumulate(np.where(~same, pos, 0))
-        seq = cs - cs[run_start] + 1
+        seq = cs - cs[run_starts(first)] + 1
         return pd.DataFrame({id_col: g[id_col].to_numpy(), out_col: seq})
 
-    return keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
+    return keyed_runs(ds, key_cols, [ts_col, id_col], reduce_bucket, n_buckets)
 
 
 def running_sum_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
@@ -504,30 +425,16 @@ def running_sum_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
     per-bucket vectorized sort, then a single global cumsum rebased at
     each key run's start (the ``lag_delta`` run-start trick) — int64
     exact, no per-key frames."""
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs, run_starts
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame(
-                {
-                    id_col: np.zeros(0, np.int64),
-                    out_col: np.zeros(0, np.int64),
-                }
-            )
-        g = g.sort_values([*key_cols, ts_col, id_col], kind="stable")
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         v = g[val_col].to_numpy().astype(np.int64)
-        same = np.zeros(len(g), dtype=bool)
-        same[1:] = True
-        for k in key_cols:
-            kv = g[k].to_numpy()
-            same[1:] &= kv[1:] == kv[:-1]
-        pos = np.arange(len(g), dtype=np.int64)
-        run_start = np.maximum.accumulate(np.where(~same, pos, 0))
+        rs = run_starts(first)
         cs = np.cumsum(v)
-        out = cs - cs[run_start] + v[run_start]
+        out = cs - cs[rs] + v[rs]
         return pd.DataFrame({id_col: g[id_col].to_numpy(), out_col: out})
 
-    return keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
+    return keyed_runs(ds, key_cols, [ts_col, id_col], reduce_bucket, n_buckets)
 
 
 def session_stats_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
@@ -541,39 +448,21 @@ def session_stats_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
     ``ts_col`` must be integer micro-epoch.  -> Dataset(*key_cols,
     session_seq, n_events, sum_val, start_us, end_us).  Output volume
     is one row per session, bounded by event count."""
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs, run_starts
 
     if gap_us < 0:
         raise ValueError("gap_us must be >= 0")
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        cols = {
-            **{k: g[k].head(0) for k in key_cols},
-            "session_seq": np.zeros(0, np.int64),
-            "n_events": np.zeros(0, np.int64),
-            "sum_val": np.zeros(0, np.int64),
-            "start_us": np.zeros(0, np.int64),
-            "end_us": np.zeros(0, np.int64),
-        }
-        if not len(g):
-            return pd.DataFrame(cols)
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         if g[ts_col].dtype.kind not in "iu":
             raise TypeError(
                 f"session_stats_per_key needs an integer {ts_col!r} column"
             )
-        g = g.sort_values([*key_cols, ts_col, id_col], kind="stable")
         ts = g[ts_col].to_numpy().astype(np.int64)
-        same = np.zeros(len(g), dtype=bool)
-        same[1:] = True
-        for k in key_cols:
-            kv = g[k].to_numpy()
-            same[1:] &= kv[1:] == kv[:-1]
-        new = ~same
-        new[1:] |= same[1:] & ((ts[1:] - ts[:-1]) > gap_us)
+        new = first.copy()
+        new[1:] |= (ts[1:] - ts[:-1]) > gap_us
         sid = np.cumsum(new.astype(np.int64))  # bucket-global session id
-        pos = np.arange(len(g), dtype=np.int64)
-        run_start = np.maximum.accumulate(np.where(~same, pos, 0))
-        seq = sid - sid[run_start] + 1  # per-key session ordinal
+        seq = sid - sid[run_starts(first)] + 1  # per-key session ordinal
         d = g.assign(_sid=sid, _seq=seq)
         agg = d.groupby("_sid", sort=True).agg(
             **{k: (k, "first") for k in key_cols},
@@ -587,7 +476,7 @@ def session_stats_per_key(ds, key_cols: list[str], ts_col: str, id_col: str,
             agg[c] = agg[c].astype(np.int64)
         return agg
 
-    return keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
+    return keyed_runs(ds, key_cols, [ts_col, id_col], reduce_bucket, n_buckets)
 
 
 def interarrival_per_key(ds, key_col: str, ts_col: str, id_col: str,
@@ -602,19 +491,14 @@ def interarrival_per_key(ds, key_col: str, ts_col: str, id_col: str,
     key-run boundaries masking cross-key diffs (no per-key loop);
     keys with a single event have no gaps and are absent.  All int64;
     mean = sum // n matches DuckDB ``//`` (gaps are non-negative)."""
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs
 
     out_cols = [key_col, "n_gaps", "min_gap_us", "max_gap_us", "mean_gap_us"]
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame({c: np.zeros(0, np.int64) for c in out_cols})
-        g = g.sort_values([key_col, ts_col, id_col], kind="stable")
-        k = g[key_col].to_numpy()
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         ts = g[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
-        gap = ts[1:] - ts[:-1]
-        same = k[1:] == k[:-1]
-        gk, gv = k[1:][same], gap[same]
+        same = ~first[1:]
+        gk, gv = g[key_col].to_numpy()[1:][same], (ts[1:] - ts[:-1])[same]
         if not len(gv):
             return pd.DataFrame({c: np.zeros(0, np.int64) for c in out_cols})
         df = pd.DataFrame({key_col: gk, "g": gv})
@@ -632,7 +516,7 @@ def interarrival_per_key(ds, key_col: str, ts_col: str, id_col: str,
         ).astype(np.int64)
         return out[out_cols]
 
-    return keyed_exchange(ds, key_col, reduce_bucket, n_buckets)
+    return keyed_runs(ds, key_col, [ts_col, id_col], reduce_bucket, n_buckets)
 
 
 def dwell_by_attr(ds, key_col: str, ts_col: str, id_col: str,
@@ -646,28 +530,25 @@ def dwell_by_attr(ds, key_col: str, ts_col: str, id_col: str,
     ONE key-hash exchange; per-bucket vectorized sort + lead-diff with
     key-run masking, then per-bucket PARTIAL (attr, n, total) rows so
     the final grouped sum moves attrs × buckets rows, never events."""
-    from gliner_cpp_ray.stages.joins import bucketed_group_agg, keyed_exchange
+    from gliner_cpp_ray.stages.joins import bucketed_group_agg, keyed_runs
 
-    def partial(g: pd.DataFrame) -> pd.DataFrame:
-        cols = {attr_col: np.zeros(0, object),
-                "n": np.zeros(0, np.int64), "s": np.zeros(0, np.int64)}
-        if not len(g):
-            return pd.DataFrame(cols)
-        g = g.sort_values([key_col, ts_col, id_col], kind="stable")
-        k = g[key_col].to_numpy()
+    def partial(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         ts = g[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
         gap = ts[1:] - ts[:-1]
-        same = k[1:] == k[:-1]
+        same = ~first[1:]
         attr = g[attr_col].to_numpy()[:-1][same]  # earlier event's attr
         if not len(attr):
-            return pd.DataFrame(cols)
+            return pd.DataFrame(
+                {attr_col: np.zeros(0, object),
+                 "n": np.zeros(0, np.int64), "s": np.zeros(0, np.int64)}
+            )
         d = pd.DataFrame({attr_col: attr, "g": gap[same]})
         grp = d.groupby(attr_col, sort=False)["g"]
         return pd.DataFrame(
             {"n": grp.size().astype(np.int64), "s": grp.sum().astype(np.int64)}
         ).reset_index()
 
-    partials = keyed_exchange(ds, key_col, partial, n_buckets)
+    partials = keyed_runs(ds, key_col, [ts_col, id_col], partial, n_buckets)
     agg = bucketed_group_agg(
         partials, attr_col,
         specs=[("sum", "n", "n_dwells"), ("sum", "s", "total_dwell_us")],
@@ -702,21 +583,14 @@ def trailing_range_sum(ds, key_col: str, ts_col: str, val_col: str,
     ``-range_us`` probe can never cross into the previous key's block)
     + an int64 cumsum difference — no per-key Python loop, exact for
     the full int64 range."""
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs, run_starts
 
     range_us = int(range_us)
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame(
-                {id_col: np.zeros(0, np.int64),
-                 "range_sum": np.zeros(0, np.int64)}
-            )
-        g = g.sort_values([key_col, ts_col, id_col], kind="stable")
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         ts = g[ts_col].to_numpy(dtype=np.int64)
-        grp = g.groupby(key_col, sort=False)
-        dt = ts - grp[ts_col].transform("min").to_numpy(dtype=np.int64)
-        key_idx = grp.ngroup().to_numpy(dtype=np.int64)
+        dt = ts - ts[run_starts(first)]  # a run's first ts is its min
+        key_idx = np.cumsum(first, dtype=np.int64) - 1
         big = int(dt.max()) + range_us + 1
         # headroom check: key blocks must not overflow the composite axis
         assert big > 0 and key_idx.max() < (2**62) // big, \
@@ -735,7 +609,7 @@ def trailing_range_sum(ds, key_col: str, ts_col: str, val_col: str,
             }
         )
 
-    return keyed_exchange(ds, key_col, reduce_bucket, n_buckets)
+    return keyed_runs(ds, key_col, [ts_col, id_col], reduce_bucket, n_buckets)
 
 
 def watermark_admitted_counts(ds, ts_col: str = "ts", id_col: str = "event_id",
@@ -858,24 +732,21 @@ def sequence_ngram_counts(ds, key_cols: list[str], ts_col: str, id_col: str,
     per-bucket groupby over the (|states|^n)-bounded combination table,
     and one tiny grouped Sum merge."""
     from ray.data.aggregate import Sum
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs
 
     out_cols = [f"s{i}" for i in range(n)]
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         empty = pd.DataFrame(
             {**{c: pd.Series(dtype=object) for c in out_cols},
              "n": pd.Series(dtype=np.int64)}
         )
         if len(g) < n:
             return empty
-        g = g.sort_values([*key_cols, ts_col, id_col], kind="stable")
         m = len(g) - (n - 1)
-        same = np.ones(m, dtype=bool)
-        for k in key_cols:
-            kv = g[k].to_numpy()
-            for i in range(1, n):
-                same &= kv[i:m + i] == kv[:m]
+        # the n rows from j share a key iff no run starts after row j
+        run = np.cumsum(first)
+        same = run[n - 1:] == run[:m]
         if not same.any():
             return empty
         st = g[state_col].to_numpy()
@@ -890,7 +761,8 @@ def sequence_ngram_counts(ds, key_cols: list[str], ts_col: str, id_col: str,
             .reset_index()
         )
 
-    partials = keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
+    partials = keyed_runs(ds, key_cols, [ts_col, id_col], reduce_bucket,
+                          n_buckets)
     return partials.groupby(out_cols).aggregate(Sum("n", alias_name="n"))
 
 
@@ -909,27 +781,13 @@ def session_item_pairs(ds, key_cols: list[str], ts_col: str, id_col: str,
     by the item-domain size, never corpus-scaled.  Partials merge under
     one |items|²-bounded grouped Sum."""
     from ray.data.aggregate import Sum
-    from gliner_cpp_ray.stages.joins import keyed_exchange
+    from gliner_cpp_ray.stages.joins import keyed_runs
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "item_a": pd.Series(dtype=object),
-                "item_b": pd.Series(dtype=object),
-                "n": pd.Series(dtype=np.int64),
-            }
-        )
-        if not len(g):
-            return empty
-        g = g.sort_values([*key_cols, ts_col, id_col], kind="stable")
+    def reduce_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         ts = g[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64) \
             if g[ts_col].dtype.kind == "M" else g[ts_col].to_numpy(np.int64)
-        new = np.ones(len(g), dtype=bool)
-        same = np.ones(len(g) - 1, dtype=bool)
-        for k in key_cols:
-            kv = g[k].to_numpy()
-            same &= kv[1:] == kv[:-1]
-        new[1:] = ~same | (np.diff(ts) > gap_us)
+        new = first.copy()
+        new[1:] |= np.diff(ts) > gap_us
         sess = np.cumsum(new.astype(np.int64))  # bucket-locally unique
         d = pd.DataFrame(
             {"sess": sess, "item": g[item_col].to_numpy()}
@@ -937,7 +795,13 @@ def session_item_pairs(ds, key_cols: list[str], ts_col: str, id_col: str,
         m = d.merge(d, on="sess", suffixes=("_a", "_b"))
         m = m[m["item_a"] < m["item_b"]]
         if not len(m):
-            return empty
+            return pd.DataFrame(
+                {
+                    "item_a": pd.Series(dtype=object),
+                    "item_b": pd.Series(dtype=object),
+                    "n": pd.Series(dtype=np.int64),
+                }
+            )
         out = (
             m.groupby(["item_a", "item_b"], sort=False)
             .size()
@@ -946,7 +810,8 @@ def session_item_pairs(ds, key_cols: list[str], ts_col: str, id_col: str,
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    partials = keyed_exchange(ds, key_cols, reduce_bucket, n_buckets)
+    partials = keyed_runs(ds, key_cols, [ts_col, id_col], reduce_bucket,
+                          n_buckets)
     return partials.groupby(["item_a", "item_b"]).aggregate(
         Sum("n", alias_name="n_sessions")
     )

@@ -1,7 +1,8 @@
-"""The key-hash exchanges (``stages.joins.keyed_exchange`` and its
-two-input form ``keyed_cogroup``) and their bucket hash
-(``add_group_bucket``), plus ratchets that keep the hand-written
-``groupby("__bucket")`` and ``__side`` idioms from growing back."""
+"""The key-hash exchanges (``stages.joins.keyed_exchange``, its
+ordered per-key form ``keyed_runs`` and its two-input form
+``keyed_cogroup``) and their bucket hash (``add_group_bucket``), plus
+ratchets that keep the hand-written ``groupby("__bucket")``, run-mask
+and ``__side`` idioms from growing back."""
 
 import ast
 import json
@@ -15,7 +16,10 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from gliner_cpp_ray.stages.joins import add_group_bucket
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gliner_cpp_ray.stages.joins import add_group_bucket, run_starts
 
 PKG = pathlib.Path(__file__).resolve().parents[1] / "gliner_cpp_ray"
 
@@ -67,6 +71,105 @@ def test_keyed_exchange_empty_input(ray_session):
 
     empty = _rows().slice(0, 0)
     assert keyed_exchange(rd.from_arrow(empty), ["s"], lambda g: g, 4).take_all() == []
+
+
+@pytest.mark.parametrize(
+    "keys,n_keys,n_buckets",
+    [(["i"], 0, 4), (["i", "j"], 2, 16), (["s", "i", "j"], 3, 32), (["s"], 5, 64)],
+)
+def test_keyed_exchange_never_reduces_zero_rows(ray_session, keys, n_keys, n_buckets):
+    # Ray 2.49's map_groups calls the UDF once per group boundary, and
+    # an empty block has none: no bucket reaches a reduce with zero rows,
+    # even with far more buckets than keys (most buckets get no row)
+    import ray.data as rd
+
+    from gliner_cpp_ray.stages.joins import keyed_exchange
+
+    def call_size(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"n": [len(g)]})
+
+    tbl = pa.table({
+        "i": pa.array(np.arange(n_keys) * 7, pa.int64()),
+        "j": pa.array(np.arange(n_keys) % 2, pa.int32()),
+        "s": pa.array([f"k{v}" for v in range(n_keys)], pa.string()),
+    })
+    ds = rd.from_arrow(pa.concat_tables([tbl] * 3)).repartition(3)
+    sizes = [r["n"] for r in keyed_exchange(ds, keys, call_size, n_buckets).take_all()]
+    assert all(n > 0 for n in sizes), sizes
+    assert sum(sizes) == 3 * n_keys
+    assert len(sizes) <= n_keys
+
+
+_RUN_KEYS = [["i"], ["s"], ["s", "j"]]
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    keys=st.sampled_from(_RUN_KEYS),
+    order=st.sampled_from([["o"], ["o", "v"]]),
+    seed=st.integers(0, 2**16),
+    n_buckets=st.integers(1, 12),
+)
+def test_keyed_runs_sort_and_first_match_pandas_groupby(ray_session, keys, order,
+                                                        seed, n_buckets):
+    import ray.data as rd
+
+    from gliner_cpp_ray.stages.joins import keyed_runs
+
+    rng = np.random.default_rng(seed)
+    n = 300
+    tbl = pa.table({
+        "i": pa.array(rng.integers(-20, 20, n), pa.int64()),
+        "s": pa.array([f"k{v}" for v in rng.integers(0, 15, n)]),
+        "j": pa.array(rng.integers(0, 3, n), pa.int32()),
+        "o": pa.array(rng.integers(0, 4, n), pa.int64()),  # many ties
+        "v": pa.array(rng.integers(0, 1000, n), pa.int64()),
+    })
+
+    def reduce(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
+        out = g[list(dict.fromkeys([*keys, *order, "v"]))].reset_index(drop=True)
+        out["first"] = first
+        out["ord"] = np.arange(len(g)) - run_starts(first)
+        out["call"] = int(np.random.default_rng().integers(2**62))
+        out["pos"] = np.arange(len(g))
+        return out
+
+    # four input blocks: every key's rows arrive from several of them
+    got = keyed_runs(
+        rd.from_arrow(tbl).repartition(4), keys, order, reduce, n_buckets
+    ).to_pandas()
+    assert len(got) == n
+
+    want = tbl.to_pandas().sort_values([*keys, *order], kind="stable")
+    grp = want.groupby(keys, sort=False)
+    for _, call in got.groupby("call"):
+        call = call.sort_values("pos")
+        # the call's rows are sorted by (keys, order)
+        ranked = call[[*keys, *order]].reset_index(drop=True)
+        pd.testing.assert_frame_equal(
+            ranked,
+            ranked.sort_values([*keys, *order], kind="stable")
+            .reset_index(drop=True),
+        )
+        # first is True exactly where the key tuple changes
+        kt = list(call[keys].itertuples(index=False))
+        assert call["first"].tolist() == [
+            i == 0 or kt[i] != kt[i - 1] for i in range(len(kt))
+        ]
+    # each key is one run of one call, holding all its rows in order
+    assert int(got["first"].sum()) == grp.ngroups
+    assert got.groupby(keys)["call"].nunique().max() == 1
+    runs = got.sort_values(["call", "pos"])
+    for key, rows in runs.groupby(keys, sort=False):
+        ref = grp.get_group(key)
+        assert rows["ord"].tolist() == list(range(len(ref)))
+        assert rows[order].values.tolist() == ref[order].values.tolist()
+        assert sorted(rows["v"]) == sorted(ref["v"])
+
+
+def test_run_starts_broadcasts_each_runs_first_position():
+    first = np.array([True, False, False, True, True, False])
+    assert run_starts(first).tolist() == [0, 0, 0, 3, 4, 4]
 
 
 def test_single_int_key_bucket_is_knuth_multiply():
@@ -274,6 +377,40 @@ def test_bucket_groupby_idiom_does_not_grow_back():
             f"{rel} spells out groupby(\"__bucket\"); use keyed_exchange"
         )
         assert n <= _BUCKET_GROUPBY_ALLOWED[rel], (rel, n)
+
+
+# The sort-and-mark-runs prologue of an ordered per-key reduce lives
+# in ``joins.keyed_runs``; no other function spells it out.
+_RUN_MASK_IDIOMS = ("kv[1:] == kv[:-1]", "sort_values([*key_cols")
+_RUN_MASK_ALLOWED = {("stages/joins.py", "keyed_runs")}
+
+
+def _enclosing_functions(tree: ast.AST) -> list[tuple[int, int, str]]:
+    return [
+        (node.lineno, node.end_lineno, node.name)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+
+
+def test_run_mask_idiom_lives_only_in_keyed_runs():
+    sites = set()
+    for path in PKG.rglob("*.py"):
+        rel = path.relative_to(PKG).as_posix()
+        src = path.read_text()
+        spans = _enclosing_functions(ast.parse(src))
+        for lineno, line in enumerate(src.splitlines(), 1):
+            if any(idiom in line for idiom in _RUN_MASK_IDIOMS):
+                owner = next(
+                    (name for lo, hi, name in spans if lo <= lineno <= hi),
+                    "<module>",
+                )
+                sites.add((rel, owner))
+    assert sites <= _RUN_MASK_ALLOWED, (
+        f"{sorted(sites - _RUN_MASK_ALLOWED)} sort and mark key runs by "
+        "hand; use joins.keyed_runs"
+    )
+    assert sites == _RUN_MASK_ALLOWED
 
 
 def test_no_package_module_imports_add_key_bucket():
