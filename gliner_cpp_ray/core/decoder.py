@@ -1,12 +1,19 @@
 """Span / token decoding + greedy non-overlap selection.
 
 Transcribes the reference decoder semantics exactly (the reference's
-``src/decoder.cpp``).  The span decoder walks only the
-candidates that can clear the threshold: one scan of the flat float32
-logits against a cutoff strictly below ``logit(threshold)`` (see
-``_logit_cutoff``), then the unchanged float32 test
-``sigmoid(x) >= threshold`` on the survivors.  The cutoff is
-conservative — every logit whose float32 sigmoid clears the threshold
+``src/decoder.cpp``), as columns: each decoder yields its candidates as
+one ``SpanColumns`` (doc, byte start, byte end, entity, prob) and
+``greedy_select`` picks the kept rows of every doc at once.  No ``Span``
+object exists on that path; ``decode_span_batch`` and
+``decode_token_batch`` are the ``Span``-list adapters that
+``GlinerModel.inference`` returns, and the NER stage builds its mention
+table from the columns directly.
+
+The span decoder walks only the candidates that can clear the
+threshold: one scan of the flat float32 logits against a cutoff strictly
+below ``logit(threshold)`` (see ``_logit_cutoff``), then the unchanged
+float32 test ``sigmoid(x) >= threshold`` on the survivors.  The cutoff
+is conservative — every logit whose float32 sigmoid clears the threshold
 lies above it — so the re-test yields exactly the dense test's candidate
 set.  ``np.flatnonzero`` returns flat indices in ascending order, which
 is the reference's linear walk over the flat logit vector
@@ -27,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from gliner_cpp_ray.config import SPAN_LEVEL
 from gliner_cpp_ray.core.processor import EncodedBatch
 
 
@@ -118,16 +126,74 @@ def _logit_cutoff(threshold: float) -> np.float32:
     return np.nextafter(c32, np.float32(-np.inf)) if c32 > cut else c32
 
 
-def decode_span_batch(
-    batch: EncodedBatch,
-    texts: list[str],
-    entities: list[str],
-    logits: np.ndarray,
-    flat_ner: bool = True,
-    threshold: float = 0.5,
-    multi_label: bool = False,
-) -> list[list[Span]]:
-    """SpanDecoder::decode (decoder.cpp:76-121).
+@dataclass(slots=True)
+class SpanColumns:
+    """Spans as columns, one row per span: grouped by doc, and within a
+    doc in generation order, the order the greedy pass reads."""
+
+    doc: np.ndarray  # int64 doc index within the batch
+    start: np.ndarray  # int64 byte offset, inclusive
+    end: np.ndarray  # int64 byte offset, exclusive
+    label: np.ndarray  # int64 entity index
+    prob: np.ndarray  # float32 (span mode) or float64 (token mode)
+
+    @classmethod
+    def empty(cls, prob_dtype) -> SpanColumns:
+        z = np.zeros(0, np.int64)
+        return cls(z, z, z, z, np.zeros(0, prob_dtype))
+
+    @classmethod
+    def concat(cls, parts: list[SpanColumns]) -> SpanColumns:
+        return cls(*(np.concatenate(c) for c in zip(*map(_fields, parts))))
+
+    def take(self, rows: np.ndarray) -> SpanColumns:
+        return SpanColumns(*(c[rows] for c in _fields(self)))
+
+
+def _fields(c: SpanColumns) -> tuple:
+    return c.doc, c.start, c.end, c.label, c.prob
+
+
+def greedy_select(spans: SpanColumns, flat_ner: bool, multi_label: bool) -> np.ndarray:
+    """Rows ``_greedy_keep`` keeps, per doc, ascending.
+
+    The conflict test runs on every consecutive pair of a doc at once.
+    A doc with no conflicting consecutive pair keeps every span with no
+    loop: the running candidate is then always the previous span, so
+    each one is emitted in turn.  Only docs with a conflict run the
+    sequential pass, which can drop spans that conflict with no
+    neighbour (``[0, 10]`` beats ``[2, 3]`` and then ``[5, 6]``)."""
+    doc, start, end = spans.doc, spans.start, spans.end
+    n = len(doc)
+    ps, pe, ns, ne = start[:-1], end[:-1], start[1:], end[1:]
+    conflict = (ps <= ne) & (ns <= pe)  # not (ps > ne or ns > pe)
+    if multi_label:  # identical spans conflict only without multi_label
+        conflict &= (ps != ns) | (pe != ne)
+    if not flat_ner:
+        conflict |= ((ps <= ns) & (ne <= pe)) | ((ns <= ps) & (pe <= ne))
+    conflict &= doc[1:] == doc[:-1]
+    pairs = np.flatnonzero(conflict)
+    if not len(pairs):
+        return np.arange(n)
+    keep = np.ones(n, dtype=bool)
+    run_lo = np.flatnonzero(np.r_[True, doc[1:] != doc[:-1]])
+    run_hi = np.r_[run_lo[1:], n]
+    runs = np.unique(np.searchsorted(run_lo, pairs, side="right") - 1)
+    for lo, hi in zip(run_lo[runs].tolist(), run_hi[runs].tolist()):
+        keep[lo:hi] = False
+        kept = _greedy_keep(
+            start[lo:hi].tolist(), end[lo:hi].tolist(), spans.prob[lo:hi].tolist(),
+            flat_ner, multi_label,
+        )
+        keep[np.add(kept, lo)] = True
+    return np.flatnonzero(keep)
+
+
+def span_candidates(
+    batch: EncodedBatch, logits: np.ndarray, n_entities: int, threshold: float
+) -> SpanColumns:
+    """SpanDecoder::decode's candidates (decoder.cpp:76-107), before the
+    greedy pass.
 
     Flat logits have implicit row-major layout
     ``[batch, start_word, width, entity]``; a candidate survives iff
@@ -138,9 +204,9 @@ def decode_span_batch(
     B = batch.batch_size
     W = batch.num_words
     K = batch.width()  # = max_width for span batches
-    E = len(entities)
+    E = n_entities
     if B == 0 or W == 0 or E == 0:
-        return [[] for _ in range(B)]
+        return SpanColumns.empty(np.float32)
     flat = np.asarray(logits, dtype=np.float32).reshape(B * W * K * E)
     idx = np.flatnonzero(flat >= _logit_cutoff(threshold))
     probs = sigmoid(flat[idx])
@@ -158,43 +224,20 @@ def decode_span_batch(
     tok_base = np.zeros(B, np.int64)
     np.cumsum(ntoks[:-1], out=tok_base[1:])
     first = tok_base[b] + s
-    starts = np.concatenate(batch.token_starts)[first].tolist()
-    ends = np.concatenate(batch.token_ends)[first + w].tolist()
-    labels = e.tolist()
-    plist = probs.tolist()
-    bounds = np.searchsorted(b, np.arange(B + 1)).tolist()
-
-    results: list[list[Span]] = []
-    for d in range(B):
-        lo, hi = bounds[d], bounds[d + 1]
-        if lo == hi:
-            results.append([])
-            continue
-        keep = _greedy_keep(
-            starts[lo:hi], ends[lo:hi], plist[lo:hi], flat_ner, multi_label
-        )
-        tb = texts[d].encode("utf-8")
-        spans: list[Span] = []
-        for k in keep:
-            k += lo
-            si, ei = starts[k], ends[k]
-            spans.append(
-                Span(si, ei, tb[si:ei].decode("utf-8"), entities[labels[k]], plist[k])
-            )
-        results.append(spans)
-    return results
+    start = np.concatenate(batch.token_starts)[first]
+    end = np.concatenate(batch.token_ends)[first + w]
+    return SpanColumns(b, start, end, e, probs)
 
 
-def decode_token_batch(
+def token_candidates(
     batch: EncodedBatch,
-    texts: list[str],
-    entities: list[str],
     logits: np.ndarray,
-    flat_ner: bool = True,
-    threshold: float = 0.5,
-    multi_label: bool = False,
-) -> list[list[Span]]:
-    """TokenDecoder::decode (decoder.cpp:123-181).
+    n_entities: int,
+    threshold: float,
+    multi_label: bool,
+) -> SpanColumns:
+    """TokenDecoder::decode's emissions (decoder.cpp:123-176), before the
+    greedy pass.
 
     Logits are three stacked row-major blocks of shape
     ``[batch, word, entity]``: start-, end-, inside-scores.  For each
@@ -213,16 +256,12 @@ def decode_token_batch(
     """
     B = batch.batch_size
     W = batch.num_words
-    E = len(entities)
+    E = n_entities
     if B == 0 or W == 0 or E == 0:
-        return [[] for _ in range(B)]
+        return SpanColumns.empty(np.float64)
     probs = sigmoid(np.asarray(logits, dtype=np.float32).reshape(3, B, W, E))
     start_p, end_p, inside_p = probs[0], probs[1], probs[2]
 
-    results: list[list[Span]] = [[] for _ in range(B)]
-    cand = np.argwhere(start_p >= threshold)  # (b, s, e) row-major = start_id order
-    if not cand.size:
-        return results
     # The scan from a start position only *reads* positions whose END
     # score clears the threshold (an under-threshold end `continue`s
     # without consulting the inside score) and stops at the first such
@@ -235,26 +274,21 @@ def decode_token_batch(
     # inside-mean reproduced by an in-order cumsum over the same float64
     # additions the sequential loop performs.
     # A candidate's emissions form a *chain*: spans sharing one byte
-    # start with strictly increasing ends.  Under the greedy pass this
-    # structure collapses (multi_label=False only — identical spans
-    # never conflict under multi_label, breaking the collapse at chain
-    # boundaries): consecutive chain elements always conflict (same
-    # start), so a chain reduces to its first maximum-prob element; and
-    # because byte starts are nondecreasing in candidate order, the
-    # running candidate `prev` conflicts with a later chain iff
-    # ``chain_start <= prev.end`` — uniformly for every element, in both
-    # flat and nested modes (the extra nested branches are subsumed:
-    # prev.start <= chain_start always holds).  So for multi_label=False
-    # we fold chains directly into the final output without
-    # materializing the (worst-case quadratic) emission list the
-    # reference walks; output is element-identical.
+    # start with strictly increasing ends.  Without multi_label a chain
+    # reduces to its first maximum-prob element (identical spans never
+    # conflict under multi_label, which breaks the collapse): consecutive
+    # chain elements always conflict (same start), and because byte
+    # starts are nondecreasing in candidate order, the running candidate
+    # conflicts with a later chain iff ``chain_start <= running.end`` —
+    # uniformly for every element, in both flat and nested modes (the
+    # extra nested branches are subsumed).  So the greedy pass over the
+    # reduced chains keeps exactly what it keeps over the (worst-case
+    # quadratic) emission list the reference walks.
     fold = not multi_label
     ntoks = [len(tt) for tt in batch.token_texts]
-    tbs: dict[int, bytes] = {}
     helpers: dict[tuple[int, int], tuple] = {}
-    prevs: list[tuple | None] = [None] * B  # per-doc running candidate
-    for b, s, e in cand:
-        b, s, e = int(b), int(s), int(e)
+    cols: list[list] = [[], [], [], [], []]  # doc, start, end, label, prob
+    for b, s, e in np.argwhere(start_p >= threshold).tolist():  # start_id order
         ntok = ntoks[b]
         if s >= ntok:
             continue  # guard (see docstring)
@@ -273,49 +307,82 @@ def decode_token_batch(
         jb = int(bad_js[k]) if k < len(bad_js) else len(idxs)
         if jb <= j0:
             continue
-        si = int(batch.token_starts[b][s])
         ps = np.cumsum(ins_vals[j0:jb])
         ps /= np.arange(1, jb - j0 + 1, dtype=np.float64)
-        tends = batch.token_ends[b]
+        ends = batch.token_ends[b][idxs[j0:jb]]
         if fold:
-            # first-wins chain max (greedy's strict-> running compare)
-            kmax = int(np.argmax(ps))
-            p = float(ps[kmax])
-            ei = int(tends[idxs[j0 + kmax]])
-            prev = prevs[b]
-            if prev is None:
-                prevs[b] = (si, ei, e, p)
-            elif si <= prev[1]:  # conflicts with every chain element
-                if p > prev[3]:
-                    prevs[b] = (si, ei, e, p)
-            else:
-                results[b].append(prev)
-                prevs[b] = (si, ei, e, p)
-            continue
-        tb = tbs.get(b)
+            kmax = int(np.argmax(ps))  # first-wins: greedy's strict < compare
+            ps, ends = ps[kmax : kmax + 1], ends[kmax : kmax + 1]
+        m = len(ps)
+        cols[0].append(np.full(m, b, np.int64))
+        cols[1].append(np.full(m, batch.token_starts[b][s], np.int64))
+        cols[2].append(ends)
+        cols[3].append(np.full(m, e, np.int64))
+        cols[4].append(ps)
+    if not cols[0]:
+        return SpanColumns.empty(np.float64)
+    return SpanColumns(*(np.concatenate(c) for c in cols))
+
+
+def _spans(
+    spans: SpanColumns,
+    batch_size: int,
+    texts: list[str],
+    entities: list[str],
+    flat_ner: bool,
+    multi_label: bool,
+) -> list[list[Span]]:
+    """The greedy pass, then one ``Span`` per kept row, per doc."""
+    kept = spans.take(greedy_select(spans, flat_ner, multi_label))
+    results: list[list[Span]] = [[] for _ in range(batch_size)]
+    encoded: dict[int, bytes] = {}
+    for d, si, ei, e, p in zip(*(c.tolist() for c in _fields(kept))):
+        tb = encoded.get(d)
         if tb is None:
-            tbs[b] = tb = texts[b].encode("utf-8")
-        label = entities[e]
-        spans_b = results[b]
-        for off, j in enumerate(range(j0, jb)):
-            ei = int(tends[idxs[j]])
-            spans_b.append(
-                Span(si, ei, tb[si:ei].decode("utf-8"), label, float(ps[off]))
-            )
-    if not fold:
-        return [greedy_search(sp, flat_ner, multi_label) for sp in results]
-    out: list[list[Span]] = []
-    for b in range(B):
-        prev = prevs[b]
-        if prev is not None:
-            results[b].append(prev)
-        tb = tbs.get(b)
-        if tb is None and results[b]:
-            tb = texts[b].encode("utf-8")
-        out.append(
-            [
-                Span(si, ei, tb[si:ei].decode("utf-8"), entities[e], p)
-                for si, ei, e, p in results[b]
-            ]
-        )
-    return out
+            encoded[d] = tb = texts[d].encode("utf-8")
+        results[d].append(Span(si, ei, tb[si:ei].decode("utf-8"), entities[e], p))
+    return results
+
+
+def decode_span_batch(
+    batch: EncodedBatch,
+    texts: list[str],
+    entities: list[str],
+    logits: np.ndarray,
+    flat_ner: bool = True,
+    threshold: float = 0.5,
+    multi_label: bool = False,
+) -> list[list[Span]]:
+    """SpanDecoder::decode (decoder.cpp:76-121): ``span_candidates`` and
+    the greedy pass, as ``Span`` lists per doc."""
+    spans = span_candidates(batch, logits, len(entities), threshold)
+    return _spans(spans, batch.batch_size, texts, entities, flat_ner, multi_label)
+
+
+def decode_token_batch(
+    batch: EncodedBatch,
+    texts: list[str],
+    entities: list[str],
+    logits: np.ndarray,
+    flat_ner: bool = True,
+    threshold: float = 0.5,
+    multi_label: bool = False,
+) -> list[list[Span]]:
+    """TokenDecoder::decode (decoder.cpp:123-181): ``token_candidates``
+    and the greedy pass, as ``Span`` lists per doc."""
+    spans = token_candidates(batch, logits, len(entities), threshold, multi_label)
+    return _spans(spans, batch.batch_size, texts, entities, flat_ner, multi_label)
+
+
+def decode_candidates(
+    batch: EncodedBatch,
+    logits: np.ndarray,
+    n_entities: int,
+    threshold: float,
+    multi_label: bool,
+) -> SpanColumns:
+    """The batch's candidates in its model type's decoder, before the
+    greedy pass (``greedy_select``)."""
+    if batch.model_type == SPAN_LEVEL:
+        return span_candidates(batch, logits, n_entities, threshold)
+    return token_candidates(batch, logits, n_entities, threshold, multi_label)

@@ -32,7 +32,13 @@ from typing import Iterable, Mapping, Protocol
 import numpy as np
 
 from gliner_cpp_ray.config import SPAN_LEVEL, TOKEN_LEVEL, GlinerConfig
-from gliner_cpp_ray.core.decoder import Span, decode_span_batch, decode_token_batch
+from gliner_cpp_ray.core.decoder import (
+    Span,
+    SpanColumns,
+    decode_candidates,
+    decode_span_batch,
+    decode_token_batch,
+)
 from gliner_cpp_ray.core.processor import EncodedBatch, GlinerProcessor
 from gliner_cpp_ray.core.splitter import WordSplitter
 from gliner_cpp_ray.core.subword import HashSubwordTokenizer, SubwordTokenizer
@@ -336,6 +342,11 @@ class GlinerModel:
         self.config = config or GlinerConfig()
         self.processor = GlinerProcessor(self.config, subword or HashSubwordTokenizer())
         self.scoring = scoring
+        # the dense tensors only a scorer that reads them needs
+        self._builds = dict(
+            build_encoding=getattr(scoring, "needs_encoding", True),
+            build_span_grid=getattr(scoring, "needs_span_grid", True),
+        )
 
     def inference(
         self,
@@ -348,12 +359,7 @@ class GlinerModel:
         if not texts or not entities:  # model.cpp:104-107
             warnings.warn("Empty texts or entities.", stacklevel=2)
             return []
-        batch = self.processor.prepare_batch(
-            texts,
-            entities,
-            build_encoding=getattr(self.scoring, "needs_encoding", True),
-            build_span_grid=getattr(self.scoring, "needs_span_grid", True),
-        )
+        batch = self.processor.prepare_batch(texts, entities, **self._builds)
         logits = self.scoring.run(batch, texts, entities)
         decode = (
             decode_span_batch
@@ -361,3 +367,19 @@ class GlinerModel:
             else decode_token_batch
         )
         return decode(batch, texts, entities, logits, flat_ner, threshold, multi_label)
+
+    def candidates(
+        self,
+        words: tuple[list, list, list],
+        texts: list[str],
+        entities: list[str],
+        threshold: float,
+        multi_label: bool,
+    ) -> SpanColumns:
+        """``inference`` up to the greedy pass, for docs already split:
+        ``words`` holds per-doc ``(starts, ends, texts)`` lists as
+        ``processor.split_words`` returns them.  The candidates' ``doc``
+        indexes ``texts``."""
+        batch = self.processor.encode_words(*words, entities, **self._builds)
+        logits = self.scoring.run(batch, texts, entities)
+        return decode_candidates(batch, logits, len(entities), threshold, multi_label)

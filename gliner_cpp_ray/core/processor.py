@@ -19,6 +19,12 @@ Reproduces the reference processor pipeline exactly
   ``span_idx[b, i*max_width + j] = (i, i + j)``; ``num_spans =
   num_words * max_width`` (processor.cpp:122-144).
 
+Word splitting (``split_words``) and encoding (``encode_words``) are
+separate steps, so a caller can split many docs in one splitter call and
+encode them in smaller batches: the NER stage splits each Arrow batch
+once and encodes one micro-batch at a time; ``prepare_batch`` does both
+for one batch.
+
 The batch is a plain dataclass of NumPy arrays — the Arrow/NumPy
 replacement for the reference's hand-rolled columnar ``SpanBatch``
 (/root/reference/include/GLiNER/gliner_structs.hpp:22-62).
@@ -74,6 +80,48 @@ class GlinerProcessor:
         self.subword = subword
         self.splitter = WordSplitter()
 
+    # --- A4: word tokenize (processor.cpp:13-26) --------------------------
+    def split_words(
+        self, texts: list[str]
+    ) -> tuple[list[np.ndarray], list[np.ndarray], list[list[str]]]:
+        """Per-doc word tokens ``(byte starts, byte ends, texts)`` from ONE
+        splitter call on the docs joined by single spaces, cut per doc.
+
+        This equals splitting each doc alone: the separator is
+        whitespace and no token spans whitespace, and a hyphen glues two
+        word runs only when both its neighbours are word characters, so
+        the separator can neither merge two docs' tokens nor split one.
+        Each doc's tokens are those starting in its byte range of the
+        joined text, shifted back by its base.  The NER stage calls this
+        once per Arrow batch, ``prepare_batch`` once per batch it
+        prepares."""
+        token_starts: list[np.ndarray] = []
+        token_ends: list[np.ndarray] = []
+        token_texts: list[list[str]] = []
+        if not texts:
+            return token_starts, token_ends, token_texts
+        starts, ends, words = self.splitter(" ".join(texts))
+        # doc i's byte base in the joined text; the last entry lies
+        # past every token, so cuts[-1] == len(words)
+        base = np.fromiter(
+            accumulate((len(t.encode()) + 1 for t in texts), initial=0),
+            np.int64, len(texts) + 1,
+        )
+        cuts = np.searchsorted(starts, base)
+        shift = np.repeat(base[:-1], cuts[1:] - cuts[:-1])
+        starts = starts - shift
+        ends = ends - shift
+        limit = self.config.truncate_words
+        cuts = cuts.tolist()
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if limit is not None and b - a > limit:
+                # Divergence guard (off by default); reference never truncates.
+                b = a + limit
+            token_starts.append(starts[a:b])
+            token_ends.append(ends[a:b])
+            token_texts.append(words[a:b])
+        return token_starts, token_ends, token_texts
+
     # --- A5-A8: full batch prep (processor.cpp:146-181) ------------------
     def prepare_batch(
         self,
@@ -82,47 +130,28 @@ class GlinerProcessor:
         build_encoding: bool = True,
         build_span_grid: bool = True,
     ) -> EncodedBatch:
-        """``build_encoding`` / ``build_span_grid`` skip the dense tensor
-        assembly when the scoring backend doesn't consume it (the
-        deterministic stub scorer reads token texts only; the ONNX
-        backend requires both).  Token lists, ``num_words`` and decode
-        semantics are identical either way.
+        """``split_words`` then ``encode_words``."""
+        return self.encode_words(
+            *self.split_words(texts), entities, build_encoding, build_span_grid
+        )
 
-        A4 word tokenize (processor.cpp:13-26) makes ONE splitter call
-        per micro-batch, on the docs joined by single spaces, and cuts
-        the result per doc.  This equals splitting each doc alone: the
-        separator is whitespace and no token spans whitespace, and a
-        hyphen glues two word runs only when both its neighbours are
-        word characters, so the separator can neither merge two docs'
-        tokens nor split one.  Each doc's tokens are those starting in
-        its byte range of the joined text, shifted back by its base."""
+    def encode_words(
+        self,
+        token_starts: list[np.ndarray],
+        token_ends: list[np.ndarray],
+        token_texts: list[list[str]],
+        entities: list[str],
+        build_encoding: bool = True,
+        build_span_grid: bool = True,
+    ) -> EncodedBatch:
+        """The batch of already split docs.  ``build_encoding`` /
+        ``build_span_grid`` skip the dense tensor assembly when the
+        scoring backend doesn't consume it (the deterministic stub
+        scorer reads token texts only; the ONNX backend requires both).
+        Token lists, ``num_words`` and decode semantics are identical
+        either way."""
         cfg = self.config
-        batch_size = len(texts)
-
-        token_starts: list[np.ndarray] = []
-        token_ends: list[np.ndarray] = []
-        token_texts: list[list[str]] = []
-        if texts:
-            starts, ends, words = self.splitter(" ".join(texts))
-            # doc i's byte base in the joined text; the last entry lies
-            # past every token, so cuts[-1] == len(words)
-            base = np.fromiter(
-                accumulate((len(t.encode()) + 1 for t in texts), initial=0),
-                np.int64, batch_size + 1,
-            )
-            cuts = np.searchsorted(starts, base)
-            shift = np.repeat(base[:-1], cuts[1:] - cuts[:-1])
-            starts = starts - shift
-            ends = ends - shift
-            limit = cfg.truncate_words
-            cuts = cuts.tolist()
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                if limit is not None and b - a > limit:
-                    # Divergence guard (off by default); reference never truncates.
-                    b = a + limit
-                token_starts.append(starts[a:b])
-                token_ends.append(ends[a:b])
-                token_texts.append(words[a:b])
+        batch_size = len(token_texts)
 
         # Prompt prefix: <<ENT>> e1 <<ENT>> e2 ... <<SEP>>  (processor.cpp:33-40)
         prompt_prefix: list[str] = []

@@ -14,21 +14,30 @@ in ``__init__`` and reused per batch, mirroring the reference's
 ``Model`` object lifetime (/root/reference/src/model.cpp:7-34).
 
 Scale behaviour:
+* the stage is columnar per Arrow batch, from the splitter to the
+  mention table: ONE ``WordSplitter`` call over the batch's texts joined
+  by spaces (``GlinerProcessor.split_words``, cut and truncated per
+  doc), the scorer per micro-batch, each micro-batch's over-threshold
+  candidates as ``SpanColumns`` (doc, byte start, byte end, entity,
+  prob), and ONE greedy pass (``greedy_select``) over the whole batch;
+  no ``Span`` object is built on this path;
 * docs inside each Arrow batch are sorted by length in characters
   (``len(str)``) and grouped into micro-batches capped by estimated
-  word count, so one huge page
-  doesn't inflate padding for the whole model batch (the reference pads
-  every batch to its longest text, src/processor.cpp:60,80 — a cost we
-  control without changing per-doc results: batch membership does not
-  affect GLiNER decoding, only padding);
+  word count, so one huge page doesn't inflate padding for the whole
+  model batch (the reference pads every batch to its longest text,
+  src/processor.cpp:60,80 — a cost we control without changing per-doc
+  results: batch membership does not affect GLiNER decoding, only
+  padding); the scorer sees the same dense ``[B, W, K, E]`` logits it
+  would see from ``GlinerModel.inference`` on the same docs;
 * output rows carry ``gap_next`` / ``next_*`` columns — the byte gap to
   the next mention in the same doc — so downstream relation extraction
   is a stateless per-row map with NO doc-text join (SURVEY.md B6);
-* the mention table is assembled as columns: one stable sort of all the
-  batch's spans by (doc, start, end), one byte gather for the gaps and a
-  within-doc shift for ``next_*``.  ``pyarrow.compute`` (imported by
-  ``Array.take`` on first use) and ``pandas`` stay off this module's
-  import path, which keeps actor start-up cheap.
+* the mention table is built from the kept columns: one stable sort by
+  (doc, start, end), one byte gather each for ``text`` and ``gap_next``
+  over the text column's own UTF-8 buffer, a ``take`` on the label
+  names, and a within-doc shift for ``next_*``.  ``pyarrow.compute``
+  (imported by ``Array.take`` on first use) and ``pandas`` stay off this
+  module's import path, which keeps actor start-up cheap.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ import numpy as np
 import pyarrow as pa
 
 from gliner_cpp_ray.config import GlinerConfig, SPAN_LEVEL
+from gliner_cpp_ray.core.decoder import SpanColumns, greedy_select
 from gliner_cpp_ray.core.model import (
     EncodedGazetteerScoringModel,
     GazetteerScoringModel,
@@ -142,19 +152,25 @@ class GlinerNERStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts: list[str] = batch.column("text").to_pylist()
+        model = self.model
+        words = model.processor.split_words(texts)  # one split per Arrow batch
 
         lengths = np.array([len(t) for t in texts], dtype=np.int64)
         order = np.argsort(-lengths, kind="stable")  # longest first
-        spans_by_doc: list[list] = [[] for _ in texts]
+        parts = [SpanColumns.empty(np.float32)]
         for group in self._micro_batches(order, lengths):
-            sub = [texts[j] for j in group]
-            decoded = self.model.inference(
-                sub, self.labels, self.flat_ner, self.threshold, self.multi_label
+            spans = model.candidates(
+                tuple([col[j] for j in group] for col in words),
+                [texts[j] for j in group],
+                self.labels, self.threshold, self.multi_label,
             )
-            for j, spans in zip(group, decoded):
-                spans_by_doc[j] = spans
-
-        return _mention_table(batch, texts, spans_by_doc)
+            spans.doc = np.array(group, dtype=np.int64)[spans.doc]
+            parts.append(spans)
+        # each doc's candidates come from one micro-batch, so they are
+        # grouped by doc and in generation order, as the greedy pass needs
+        spans = SpanColumns.concat(parts)
+        spans = spans.take(greedy_select(spans, self.flat_ner, self.multi_label))
+        return _mention_table(batch, spans, self.labels)
 
 
 def _string_column(batch: pa.Table, name: str, rows: np.ndarray):
@@ -164,46 +180,56 @@ def _string_column(batch: pa.Table, name: str, rows: np.ndarray):
     return col.take(rows)
 
 
-def _mention_table(batch: pa.Table, texts: list[str], spans_by_doc: list[list]) -> pa.Table:
-    """One row per span, ordered by (doc, start, end), each carrying the
-    gap to and the text/label/prob of the next mention in its doc (empty
-    strings and 0.0 on a doc's last mention).  The gap is the UTF-8 text
-    between the two mentions, or "" unless 0 <= bytes <= _GAP_CAP_BYTES."""
-    flat = [s for spans in spans_by_doc for s in spans]
-    n = len(flat)
-    counts = np.fromiter(map(len, spans_by_doc), np.int64, count=len(spans_by_doc))
-    doc = np.repeat(np.arange(len(spans_by_doc), dtype=np.int64), counts)
-    start = np.array([s.start for s in flat], dtype=np.int64)
-    end = np.array([s.end for s in flat], dtype=np.int64)
-    # stable, like the per-doc sorted(): token-level multi_label output
-    # is not in (start, end) order, and identical spans keep decode order
-    order = np.lexsort((end, start, doc))
-    doc, start, end = doc[order], start[order], end[order]
-    flat = [flat[i] for i in order.tolist()]
+def _utf8(column) -> tuple[np.ndarray, np.ndarray]:
+    """A string column's UTF-8 bytes, concatenated, and each row's byte
+    offset into them: Arrow's own buffers, with no per-doc encode."""
+    arr = column.combine_chunks()
+    off_type = np.int64 if pa.types.is_large_string(arr.type) else np.int32
+    _, offsets, data = arr.buffers()
+    offsets = np.frombuffer(offsets, off_type)[arr.offset : arr.offset + len(arr) + 1]
+    utf8 = np.frombuffer(data, np.uint8) if data is not None else np.zeros(0, np.uint8)
+    return utf8, offsets.astype(np.int64)
+
+
+def _gather(utf8: np.ndarray, src: np.ndarray, lengths: np.ndarray) -> pa.StringArray:
+    """The strings ``utf8[src[i] : src[i] + lengths[i]]``, in one gather."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int32)
+    np.cumsum(lengths, out=offsets[1:])
+    idx = np.repeat(src - offsets[:-1], lengths)
+    idx += np.arange(len(idx), dtype=np.int64)
+    return pa.StringArray.from_buffers(
+        len(lengths), pa.py_buffer(offsets), pa.py_buffer(utf8[idx])
+    )
+
+
+def _mention_table(batch: pa.Table, spans: SpanColumns, labels: list[str]) -> pa.Table:
+    """One row per kept span, ordered by (doc, start, end), each carrying
+    the gap to and the text/label/prob of the next mention in its doc
+    (empty strings and 0.0 on a doc's last mention).  The gap is the
+    UTF-8 text between the two mentions, or "" unless
+    0 <= bytes <= _GAP_CAP_BYTES."""
+    # stable: token-level multi_label output is not in (start, end)
+    # order, and identical spans keep decode order
+    order = np.lexsort((spans.end, spans.start, spans.doc))
+    doc, start, end = spans.doc[order], spans.start[order], spans.end[order]
+    n = len(doc)
 
     # row i's next mention is row i + 1 within its doc, else sentinel row n
     last = np.ones(n, dtype=bool)
     last[:-1] = doc[1:] != doc[:-1]
     nxt = np.arange(1, n + 1, dtype=np.int64)
     nxt[last] = n
-    text = pa.array([s.text for s in flat] + [""], pa.string())
-    label = pa.array([s.label for s in flat] + [""], pa.string())
-    prob = np.array([s.prob for s in flat] + [0.0], dtype=np.float32)
+    label_names = pa.array(labels + [""], pa.string())
+    label = label_names.take(np.append(spans.label[order], len(labels)))
+    prob = np.append(spans.prob[order].astype(np.float32), np.float32(0.0))
 
-    # gap_next: one gather over the batch's concatenated UTF-8 text
-    encoded = [t.encode("utf-8") for t in texts]
-    doc_base = np.zeros(len(encoded), dtype=np.int64)
-    np.cumsum([len(b) for b in encoded[:-1]], out=doc_base[1:])
+    # text and gap_next: byte gathers over the batch's UTF-8 text
+    utf8, doc_base = _utf8(batch.column("text"))
+    at = doc_base[doc]
+    text = _gather(utf8, np.append(at + start, 0), np.append(end - start, 0))
     gap = np.append(start, 0)[nxt] - end
     gap[last | (gap < 0) | (gap > _GAP_CAP_BYTES)] = 0
-    offsets = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(gap, out=offsets[1:])
-    src = np.repeat(doc_base[doc] + end - offsets[:-1], gap)
-    src += np.arange(len(src), dtype=np.int64)
-    utf8 = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    gap_next = pa.StringArray.from_buffers(
-        n, pa.py_buffer(offsets), pa.py_buffer(utf8[src])
-    )
+    gap_next = _gather(utf8, at + end, gap)
 
     return pa.Table.from_arrays(
         [

@@ -7,17 +7,26 @@ continue/break asymmetry — plus seeded randomized cross-checks.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gliner_cpp_ray.config import GlinerConfig, SPAN_LEVEL, TOKEN_LEVEL
 from gliner_cpp_ray.core.decoder import (
     Span,
+    SpanColumns,
     decode_span_batch,
     decode_token_batch,
     greedy_search,
+    greedy_select,
     sigmoid,
 )
 from gliner_cpp_ray.core.processor import GlinerProcessor
-from tests.oracle_decoder import span_decode_oracle, token_decode_oracle
+from tests.oracle_decoder import (
+    OSpan,
+    greedy_search_oracle,
+    span_decode_oracle,
+    token_decode_oracle,
+)
 
 
 class OneId:
@@ -167,6 +176,79 @@ def test_multilabel_identical_spans():
     multi = run_both_span(batch, texts, ents, logits, multi_label=True)
     assert len(single[0]) == 1 and single[0][0].label == "x"
     assert [s.label for s in multi[0]] == ["x", "y"]
+
+
+def _columns(docs):
+    """SpanColumns of ``docs``: (doc id, [(start, end, prob), ...]) in
+    row order; each doc's rows contiguous, doc ids in any order."""
+    rows = [(d, s, e, p) for d, spans in docs for s, e, p in spans]
+    d, s, e, p = (list(c) for c in zip(*rows)) if rows else ([], [], [], [])
+    return SpanColumns(
+        np.array(d, np.int64), np.array(s, np.int64), np.array(e, np.int64),
+        np.zeros(len(d), np.int64), np.array(p, np.float64),
+    )
+
+
+def _select_by_doc(docs, flat_ner, multi_label):
+    kept = _columns(docs).take(
+        greedy_select(_columns(docs), flat_ner, multi_label)
+    )
+    got = {d: [] for d, _ in docs}
+    for d, s, e, p in zip(kept.doc.tolist(), kept.start.tolist(),
+                          kept.end.tolist(), kept.prob.tolist()):
+        got[d].append((s, e, p))
+    return got
+
+
+def _oracle_by_doc(docs, flat_ner, multi_label):
+    return {
+        d: [
+            (o.start, o.end, o.prob)
+            for o in greedy_search_oracle(
+                [OSpan(s, e, "t", "x", p) for s, e, p in spans], flat_ner, multi_label
+            )
+        ]
+        for d, spans in docs
+    }
+
+
+@pytest.mark.parametrize("flat_ner", [True, False])
+@pytest.mark.parametrize("multi_label", [False, True])
+def test_greedy_select_running_candidate_is_not_the_previous_span(flat_ner, multi_label):
+    # [2,3] and [5,6] do not conflict with each other, but the running
+    # candidate at [5,6] is still [0,10], which beats both
+    docs = [(0, [(0, 10, 0.9), (2, 3, 0.5), (5, 6, 0.8)]),
+            (1, [(0, 2, 0.7), (4, 6, 0.6)])]
+    got = _select_by_doc(docs, flat_ner, multi_label)
+    assert got == {0: [(0, 10, 0.9)], 1: [(0, 2, 0.7), (4, 6, 0.6)]}
+    assert got == _oracle_by_doc(docs, flat_ner, multi_label)
+
+
+_col_span = st.builds(
+    lambda s, w, p: (s, s + w, p),
+    st.integers(0, 30),
+    st.integers(0, 10),
+    st.sampled_from([0.5, 0.6, 0.7, 0.8, 0.9]),  # ties included
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(_col_span, max_size=8), max_size=6),
+    st.randoms(use_true_random=False),
+    st.booleans(),
+    st.booleans(),
+)
+def test_greedy_select_matches_oracle_per_doc(per_doc, rnd, flat_ner, multi_label):
+    """The batch-wide greedy over multi-doc candidate columns equals the
+    literal sequential pass on each doc alone.  Doc ids are shuffled:
+    the columns are grouped by doc, not sorted."""
+    ids = list(range(len(per_doc)))
+    rnd.shuffle(ids)
+    docs = list(zip(ids, per_doc))
+    assert _select_by_doc(docs, flat_ner, multi_label) == _oracle_by_doc(
+        docs, flat_ner, multi_label
+    )
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,17 +1,23 @@
 """The NER stage's columnar mention table vs the literal per-span oracle
 (tests/oracle_ner_assembly.py), on crafted batches that hit each edge of
 the assembly: the gap cap, multi-byte and empty gaps, overlapping kept
-spans, unsorted decoder output, docs without mentions and empty batches.
+spans, unsorted decoder output, docs without mentions and empty batches;
+and with one Arrow batch split over several length-sorted micro-batches.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
 
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gliner_cpp_ray.config import TOKEN_LEVEL
+from gliner_cpp_ray.core import decoder
+from gliner_cpp_ray.core.splitter import WordSplitter
 from gliner_cpp_ray.stages.ner import MENTIONS_SCHEMA, GlinerNERStage
 from tests.oracle_ner_assembly import assemble_mentions_oracle
 
@@ -35,7 +41,7 @@ TEXTS = [
 ]
 
 
-def _batch(texts):
+def _batch(texts, string=pa.string()):
     return pa.table(
         {
             "doc_id": [f"d{i}" for i in range(len(texts))],
@@ -43,7 +49,7 @@ def _batch(texts):
             "text": texts,
         },
         schema=pa.schema(
-            [("doc_id", pa.string()), ("url", pa.string()), ("text", pa.string())]
+            [("doc_id", string), ("url", string), ("text", string)]
         ),
     )
 
@@ -57,8 +63,8 @@ def _decoded(stage, texts):
     ]
 
 
-def _check(stage, texts):
-    batch = _batch(texts)
+def _check(stage, texts, string=pa.string()):
+    batch = _batch(texts, string)
     got = stage(batch)
     want = assemble_mentions_oracle(
         texts,
@@ -71,8 +77,17 @@ def _check(stage, texts):
     return got
 
 
-def _stage(**kw):
-    return GlinerNERStage(labels=LABELS, gazetteer=GAZETTEER, **kw)
+def _stage(truncate_words=None, **kw):
+    stage = GlinerNERStage(labels=LABELS, gazetteer=GAZETTEER, **kw)
+    if truncate_words is not None:  # a config field, not a stage option
+        cfg = dataclasses.replace(stage.model.config, truncate_words=truncate_words)
+        stage.model.config = stage.model.processor.config = cfg
+    return stage
+
+
+# small micro-batches: one Arrow batch spans several, and the length
+# sort puts the docs of each in another order than the batch's
+_MICRO = dict(max_words_per_model_batch=6)
 
 
 @pytest.mark.parametrize("flat_ner", [True, False])
@@ -137,6 +152,89 @@ def test_empty_batch_keeps_schema():
 def test_batch_without_mentions():
     got = _check(_stage(), ["nothing here", "or here"])
     assert got.num_rows == 0
+
+
+@pytest.mark.parametrize("docs_per_model_batch", [1, 2, 3])
+@pytest.mark.parametrize("model_type", ["span_level", TOKEN_LEVEL])
+@pytest.mark.parametrize("flat_ner", [True, False])
+@pytest.mark.parametrize("multi_label", [False, True])
+def test_stage_across_micro_batches_matches_oracle(
+    docs_per_model_batch, model_type, flat_ner, multi_label
+):
+    stage = _stage(
+        model_type=model_type, flat_ner=flat_ner, multi_label=multi_label,
+        docs_per_model_batch=docs_per_model_batch, **_MICRO,
+    )
+    _check(stage, TEXTS + TEXTS[::-1])
+
+
+@pytest.mark.parametrize("model_type", ["span_level", TOKEN_LEVEL])
+def test_stage_truncates_words_per_doc(model_type):
+    stage = _stage(model_type=model_type, truncate_words=2,
+                   docs_per_model_batch=2, **_MICRO)
+    got = _check(stage, TEXTS)
+    # "Acme Corp hired Bob." keeps only its first two words
+    assert {r["text"] for r in got.to_pylist() if r["doc_id"] == "d5"} <= {
+        "Acme Corp", "Acme"
+    }
+
+
+@pytest.mark.parametrize("docs_per_model_batch", [1, 3, 8])
+def test_stage_reads_large_string_columns(docs_per_model_batch):
+    stage = _stage(docs_per_model_batch=docs_per_model_batch, **_MICRO)
+    want = _check(stage, TEXTS)
+    got = _check(stage, TEXTS, pa.large_string())
+    assert got.equals(want)
+
+
+_WORD = st.sampled_from(
+    ["Alice", "Bob", "Acme", "Corp", "Acme Corp", ".", "é", "Ωmega", "日本",
+     "x-y", "—", "\u00a0", "\u3000", " ", "\n"]
+)
+_DOC = st.lists(_WORD, max_size=12).map(" ".join) | st.just("") | st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=30
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_DOC, max_size=9),
+    st.integers(1, 3),
+    st.booleans(),
+    st.booleans(),
+)
+def test_stage_on_random_texts_matches_oracle(texts, docs_per_model_batch,
+                                              flat_ner, multi_label):
+    stage = _stage(flat_ner=flat_ner, multi_label=multi_label,
+                   docs_per_model_batch=docs_per_model_batch, **_MICRO)
+    _check(stage, texts)
+
+
+def test_stage_splits_once_and_builds_no_span(monkeypatch):
+    """One Arrow batch of several micro-batches: one splitter call, and
+    no ``Span`` object on the stage's path."""
+    calls = {"split": 0, "span": 0}
+    split, span_init = WordSplitter.__call__, decoder.Span.__init__
+
+    def counting_split(self, text):
+        calls["split"] += 1
+        return split(self, text)
+
+    def counting_span(self, *args, **kwargs):
+        calls["span"] += 1
+        span_init(self, *args, **kwargs)
+
+    stage = _stage(docs_per_model_batch=2, **_MICRO)
+    batch = _batch(TEXTS)
+    micro = list(stage._micro_batches(
+        range(len(TEXTS)), [len(t) for t in TEXTS]
+    ))
+    assert len(micro) >= 3
+    monkeypatch.setattr(WordSplitter, "__call__", counting_split)
+    monkeypatch.setattr(decoder.Span, "__init__", counting_span)
+    got = stage(batch)
+    assert got.num_rows > 0
+    assert calls == {"split": 1, "span": 0}
 
 
 def test_ner_import_leaves_compute_and_pandas_unloaded():
