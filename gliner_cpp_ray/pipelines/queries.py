@@ -656,36 +656,16 @@ def q_host_reciprocity(sf_dir: str):
 
 def q_degree_distribution(sf_dir: str):
     """Out-degree distribution of the crawl link graph (n_nodes per
-    distinct-out-degree — the power-law / crawl-health curve): one
-    grouped count over the cached distinct edge table, a key-bounded
-    LEFT join to give link-less pages degree 0, and a degree-keyed
-    count.  All exchanges node-bounded."""
-    from gliner_cpp_ray.stages.joins import bucketed_group_agg, bucketed_hash_join
+    distinct-out-degree — the power-law / crawl-health curve): the
+    graph layer's degree table over every page (link-less pages at
+    degree 0: a grouped count over the cached distinct edge table and a
+    key-bounded LEFT join) and a degree-keyed count.  All exchanges
+    node-bounded, sized from the edge rows."""
+    from gliner_cpp_ray.stages.graph import edge_table
 
     edges, nodes = _link_graph(sf_dir)
-    deg = bucketed_group_agg(
-        edges.map_batches(
-            lambda t: t.select(["src_id"]), batch_format="pyarrow"
-        ),
-        "src_id", "count", out_col="deg",
-    )
-    labeled = bucketed_hash_join(
-        nodes, deg.map_batches(
-            lambda t: t.rename_columns(["node_id", "deg"]),
-            batch_format="pyarrow",
-        ),
-        on="node_id", how="left",
-        left_schema=pa.schema([("node_id", pa.int64())]),
-        right_schema=pa.schema([("node_id", pa.int64()), ("deg", pa.int64())]),
-    ).map_batches(
-        lambda t: pa.table(
-            {"deg": pc.coalesce(t.column("deg").cast(pa.int64()),
-                                pa.scalar(0, pa.int64()))}
-        ),
-        batch_format="pyarrow",
-    )
-    return bucketed_group_agg(labeled, "deg", "count", out_col="n_nodes",
-                              n_buckets=8)
+    et = edge_table(edges)
+    return et.group(et.degrees(nodes), "deg", "count", out_col="n_nodes")
 
 
 def q_link_k_core(sf_dir: str):
@@ -9358,72 +9338,50 @@ def q_link_assortativity_stats(sf_dir: str):
     Σx², Σy²) of (out-degree(src), out-degree(dst)) — the one number
     ('do hubs link to hubs?') behind the per-node profile C190, with
     the cross terms shipped as exact decimal strings per the Pearson
-    precedent.  Scale shape: the degree table derives once; two
-    src/dst-keyed bucketed joins attach degrees to edges (dangling
-    targets count 0); per-block int64 partials (degree² per edge —
-    documented headroom) fold to a tasks-bounded table the driver
-    finishes in Python unbounded ints."""
-    from gliner_cpp_ray.stages.joins import bucketed_group_agg, bucketed_hash_join
+    precedent.  Scale shape: the degree table derives once; ONE message
+    step sends each edge's x to its destination, whose per-destination
+    sums (Σx, Σx², in-degree) meet the destination's own degree row
+    (y; dangling targets count 0) in the same exchange, so Σxy = Σ y·Σx
+    per node.  Per-block int64 partials (degree² per node — documented
+    headroom) fold to a tasks-bounded table the driver finishes in
+    Python unbounded ints."""
+    from gliner_cpp_ray.stages.graph import edge_table
 
     edges, _ = _link_graph(sf_dir)
-    ed = edges.map_batches(
-        lambda t: t.select(["src_id", "dst_id"]), batch_format="pyarrow"
-    )
-    deg = bucketed_group_agg(
-        ed.map_batches(
-            lambda t: pa.table({"node": t.column("src_id")}),
-            batch_format="pyarrow",
-        ),
-        "node", "count", out_col="deg", n_buckets=8,
-    )
-    j1 = bucketed_hash_join(
-        ed.map_batches(
-            lambda t: pa.table(
-                {"node": t.column("src_id"), "dst_id": t.column("dst_id")}
-            ),
-            batch_format="pyarrow",
-        ),
-        deg, on="node", how="left",
-        left_schema=pa.schema([("node", pa.int64()), ("dst_id", pa.int64())]),
-        right_schema=pa.schema([("node", pa.int64()), ("deg", pa.int64())]),
-    ).map_batches(
-        lambda t: pa.table(
-            {
-                "node": t.column("dst_id"),
-                "x": pc.coalesce(t.column("deg"), pa.scalar(0, pa.int64())),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    j2 = bucketed_hash_join(
-        j1, deg, on="node", how="left",
-        left_schema=pa.schema([("node", pa.int64()), ("x", pa.int64())]),
-        right_schema=pa.schema([("node", pa.int64()), ("deg", pa.int64())]),
-    ).map_batches(
-        lambda t: pa.table(
-            {
-                "x": t.column("x"),
-                "y": pc.coalesce(t.column("deg"), pa.scalar(0, pa.int64())),
-            }
-        ),
-        batch_format="pyarrow",
+    et = edge_table(edges)
+    deg = et.degrees().materialize()  # joined onto sources, and kept as y
+
+    def x_to_dst(t: pa.Table) -> pa.Table:
+        x = t.column("deg")
+        zero = np.zeros(t.num_rows, np.int64)
+        return pa.table({"node_id": t.column("dst_id"), "sx": x,
+                         "sxx": pc.multiply(x, x), "n": zero + 1, "y": zero})
+
+    def y_row(t: pa.Table) -> pa.Table:
+        zero = np.zeros(t.num_rows, np.int64)
+        return pa.table({"node_id": t.column("node_id"), "sx": zero,
+                         "sxx": zero, "n": zero, "y": t.column("deg")})
+
+    per_node = et.send(
+        deg, ["deg"], {"sx": "sum", "sxx": "sum", "n": "sum", "y": "max"},
+        x_to_dst, keep=deg.map_batches(y_row, batch_format="pyarrow"),
     )
 
     def partials(t: pa.Table) -> pa.Table:
-        x = t.column("x").to_numpy(zero_copy_only=False)
-        y = t.column("y").to_numpy(zero_copy_only=False)
+        sx, sxx, n, y = (t.column(c).to_numpy(zero_copy_only=False)
+                         for c in ("sx", "sxx", "n", "y"))
         return pa.table(
             {
-                "n": pa.array([np.int64(len(x))]),
-                "sx": pa.array([x.sum()]),
-                "sy": pa.array([y.sum()]),
-                "sxy": pa.array([(x * y).sum()]),
-                "sxx": pa.array([(x * x).sum()]),
-                "syy": pa.array([(y * y).sum()]),
+                "n": pa.array([n.sum()]),
+                "sx": pa.array([sx.sum()]),
+                "sy": pa.array([(y * n).sum()]),
+                "sxy": pa.array([(y * sx).sum()]),
+                "sxx": pa.array([sxx.sum()]),
+                "syy": pa.array([(y * y * n).sum()]),
             }
         )
 
-    part = j2.map_batches(partials, batch_format="pyarrow").to_pandas()
+    part = per_node.map_batches(partials, batch_format="pyarrow").to_pandas()
     vals = {
         c: sum(int(v) for v in part[c]) for c in part.columns
     }  # Python unbounded ints

@@ -12,9 +12,10 @@
   window, sequence and session operators, ``banded_self_pairs``, the
   grouped median and the budget cut keep only their own arithmetic.
 * ``keyed_cogroup`` — THE two-input exchange, built on
-  ``keyed_exchange``: tag each side with ``__side``, pad both to one
-  schema (``_tagged_union``, the one home of the int-upcast guard
-  ``_structural_pad``), union, coalesce, shuffle on the key, and hand
+  ``keyed_exchange``'s bucket shuffle: tag each side with ``__side``,
+  pad both to one schema and add the key's bucket in the same map
+  (``_tagged_union``, the one home of the int-upcast guard
+  ``_structural_pad``), union, coalesce, shuffle, and hand
   a merge function each bucket's two sides as separate frames.  The
   hash, anti, as-of, interval and nearest joins, ``diff.snapshot_diff``
   and ``compaction.apply_cdc_delta`` are merge functions over it.
@@ -112,16 +113,25 @@ def keyed_exchange(ds, keys, reduce_fn, n_buckets: int | None = None):
     themselves."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     n_buckets = default_buckets(n_buckets)
-    return (
-        ds.map_batches(
-            lambda t: add_group_bucket(t, keys, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: reduce_fn(g.drop(columns="__bucket")),
-            batch_format="pandas",
-        )
+    return _bucket_groups(
+        ds.map_batches(lambda t: add_group_bucket(t, keys, n_buckets),
+                       batch_format="pyarrow"),
+        reduce_fn,
+    )
+
+
+def _bucket_groups(ds, reduce_fn):
+    """THE bucket shuffle of every exchange: the sort-based
+    ``groupby("__bucket")`` over rows that already carry their bucket,
+    then ``reduce_fn`` once per whole bucket with ``__bucket`` dropped.
+    ``keyed_exchange`` adds the bucket in its own map; the two-input
+    exchanges add it in each side's tag/pad map, before the union —
+    Ray fuses a map into the operator BEFORE it, never into one after
+    an all-to-all, so a hash map behind the coalescing ``repartition``
+    would run as an operator of its own."""
+    return ds.groupby("__bucket").map_groups(
+        lambda g: reduce_fn(g.drop(columns="__bucket")),
+        batch_format="pandas",
     )
 
 
@@ -243,10 +253,11 @@ def _int_names(schema: pa.Schema) -> set:
 
 
 def _tagged_union(left, right, n_parts: int, left_schema: pa.Schema,
-                  right_schema: pa.Schema):
+                  right_schema: pa.Schema, bucket):
     """THE input of every two-input exchange: tag each side's rows with
     ``__side``, pad both to one schema (the left's columns, then the
-    right's own) with ``_structural_pad``, union, and coalesce to
+    right's own) with ``_structural_pad``, add each row's ``__bucket``
+    (``bucket(table)`` appends it, in the same map), union, and coalesce to
     ``max(n_parts, 8)`` blocks — the union arrives as one sliver block
     per upstream task (e.g. 128 × ~1.5k rows), and the shuffle's sort
     pays per-block fixed costs that dwarf the data at that granularity.
@@ -268,7 +279,7 @@ def _tagged_union(left, right, n_parts: int, left_schema: pa.Schema,
                 for f in fields
             }
             cols["__side"] = pa.array(np.full(n, side, np.int8))
-            return pa.table(cols)
+            return bucket(pa.table(cols))
 
         return fn
 
@@ -309,8 +320,9 @@ def keyed_cogroup(left, right, keys, merge_fn, n_buckets: int | None = None,
     union, split = _tagged_union(
         left, right, n_buckets,
         arrow_schema(left, left_schema), arrow_schema(right, right_schema),
+        lambda t: add_group_bucket(t, keys, n_buckets),
     )
-    return keyed_exchange(union, keys, lambda g: merge_fn(*split(g)), n_buckets)
+    return _bucket_groups(union, lambda g: merge_fn(*split(g)))
 
 
 def _merged_to_arrow(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
@@ -953,10 +965,6 @@ def range_merge_join(left, right, on: str, n_parts: int | None = None,
     )
 
     ls, rs, schema = _join_schemas(left, right, on)
-    # the tagged union, bucketed by key RANGE (not hash): the equi-depth
-    # balance and range-partitioned output need the range ids as they are
-    unioned, split = _tagged_union(left, right, len(bounds) + 1, ls, rs)
-    rcols = [c for c in rs.names if c != on]
 
     def range_id(t: pa.Table) -> pa.Table:
         k = t.column(on).to_numpy(zero_copy_only=False)
@@ -964,6 +972,11 @@ def range_merge_join(left, right, on: str, n_parts: int | None = None,
             "__bucket",
             pa.array(np.searchsorted(bounds, k, side="right").astype(np.int64)),
         )
+
+    # the tagged union, bucketed by key RANGE (not hash): the equi-depth
+    # balance and range-partitioned output need the range ids as they are
+    unioned, split = _tagged_union(left, right, len(bounds) + 1, ls, rs, range_id)
+    rcols = [c for c in rs.names if c != on]
 
     def merge(g: pd.DataFrame) -> pa.Table:
         lg, rg = split(g)
@@ -991,8 +1004,4 @@ def range_merge_join(left, right, on: str, n_parts: int | None = None,
         )
         return _merged_to_arrow(out, schema)
 
-    return (
-        unioned.map_batches(range_id, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return _bucket_groups(unioned, merge)

@@ -1,8 +1,8 @@
-"""Web link-graph operators: out-link extraction and PageRank.
+"""Web link-graph operators: link extraction, centralities, density.
 
 Webtext pipelines need the hyperlink structure of the crawl — for crawl
 frontier scoring, spam/quality priors, and graph features joined back
-onto documents.  Two operators:
+onto documents.  Nine operators:
 
 * ``page_link_edges``: html → (src_id, dst_id, n) edge table.  The href
   scan is ONE compiled-regex pass over a per-batch concatenated buffer
@@ -11,21 +11,26 @@ onto documents.  Two operators:
   (packed-u64 ``np.unique`` while ids fit 32 bits, a width-safe
   structured-view ``np.unique`` above that) bound the shuffle at tasks ×
   distinct edges, so raw link occurrences never cross the wire.
+* ``top_anchor_per_target`` and ``host_link_edges``: the anchor-text
+  signal and the host-level rollup of the same scan.
+* ``pagerank`` (global and personalized) and ``hits_scores``: fixed
+  iterations in EXACT integer arithmetic (micro-units, floor division)
+  so the distributed result hash-matches a SQL transcription
+  bit-for-bit — no float drift across engines.  PageRank drops
+  dangling-node mass and teleports a constant 0.15 — the standard
+  simplification; documented, replicated by the oracle.
+* ``triangle_counts``, ``k_core_nodes``, ``cocitation_topk`` and
+  ``host_reciprocity``: density and related-page signals over the
+  distinct (undirected) edges.
 
-* ``pagerank``: fixed-iteration PageRank in EXACT integer arithmetic
-  (micro-units, damping 17/20, floor division) so the distributed result
-  hash-matches a SQL transcription bit-for-bit — no float drift across
-  engines.  Each iteration is one bucketed hash join (contributions
-  flow src→dst) plus one groupby-sum; rank state stays a distributed
-  Dataset end to end (corpus-proportional — never driver-collected).
-  Dangling-node mass is dropped and teleport is a constant 0.15 — the
-  standard simplification; documented, replicated by the oracle.
-
-Scale notes: the edge table is reused every iteration, so it is
-materialized ONCE into the object store (spillable); iteration count is
-fixed (k=3 default) — at 10^12 pages each round moves |edges| contrib
-rows + |nodes| rank rows through hash-bucketed exchanges, the same
-partitioning key (node id) every round.
+The last six run on the graph layer of ``stages/graph.py``: one edge
+table per operator, whose row count sizes every exchange the operator
+makes, the degree table, and the message step (join node values onto
+edge sources, combine per destination map-side, one grouped aggregate
+per destination).  Rank and score state stays a distributed Dataset end
+to end (corpus-proportional — never driver-collected); iteration counts
+are fixed, so at 10^12 pages each round moves |edges| message rows +
+|nodes| state rows through exchanges on the same key (node id).
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from gliner_cpp_ray.stages.joins import (
-    bucketed_group_agg, bucketed_hash_join, keyed_exchange,
+from gliner_cpp_ray.stages.graph import (
+    EdgeTable, distinct_edges, edge_table, renamed,
 )
+from gliner_cpp_ray.stages.joins import bucketed_group_agg
 
 # one pass, one pattern: only hrefs that point at a crawled page match
 # (nav/"about" links fall out for free).  \d+ (not a fixed width): the
@@ -195,8 +201,6 @@ def host_link_edges(edges_ds, n_hosts: int):
     )
 
 
-_RANK_SCHEMA = pa.schema([("node_id", pa.int64()), ("c", pa.int64())])
-
 # damping 0.85 as the exact rational 17/20; ranks in micro-units.
 # contribution of u to each out-neighbour: (r_u * 17) // (20 * deg_u)
 _TELEPORT = 150_000
@@ -219,13 +223,14 @@ def pagerank(edges_ds, nodes_ds, n_iters: int = 3,
     (20*deg(u)).  Every quantity is int64 floor arithmetic, so a SQL
     transcription reproduces it bit-for-bit.
 
-    Data movement: out-degree is folded into the NODE-sized rank state
-    (one node×deg join up front), so per-source contributions are
-    computed map-side on the state and each iteration exchanges only
-    edges ⋈ (node_id, c) + the contribution group-sum — the edge table
-    crosses the wire once per iteration and never carries a deg column;
-    the state's deg rides the group-sum as a max() alongside the zero
-    rows that keep un-linked nodes alive (one exchange, not two).
+    Data movement: the rank state is the degree table over the node set
+    (one node-sized join up front) with the rank beside each degree, so
+    per-source contributions are computed map-side on the state, and
+    each iteration is ONE message step: contributions join onto the
+    edge sources and sum per destination.  The state's own rows ride
+    the same exchange with contribution 0 (they keep un-linked nodes
+    alive) and carry the degree as a max() — contribution messages
+    carry degree 0, and degrees are never negative.
 
     ``seed_mod``: PERSONALIZED PageRank (random walk with restart /
     TrustRank-style seeded authority — the crawl-seeding quality prior).
@@ -236,29 +241,9 @@ def pagerank(edges_ds, nodes_ds, n_iters: int = 3,
     r_{k+1}(v) = 150_000·[seed(v)] + Σ contributions.  The seed test is
     a map-side predicate on the node id, so the data movement is
     IDENTICAL to global PageRank — no extra join or broadcast."""
-    from gliner_cpp_ray.stages.sizing import rows_scaled_buckets
+    et = edge_table(edges_ds)
 
-    edges_schema = pa.schema([("node_id", pa.int64()), ("dst_id", pa.int64())])
-    state_schema = pa.schema(
-        [("node_id", pa.int64()), ("r", pa.int64()), ("deg", pa.int64())]
-    )
-    contrib_schema = pa.schema([("node_id", pa.int64()), ("c", pa.int64())])
-
-    def as_src_key(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"node_id": t.column("src_id"), "dst_id": t.column("dst_id")},
-            schema=edges_schema,
-        )
-
-    edges = edges_ds.map_batches(as_src_key, batch_format="pyarrow").materialize()
-    n_buckets = rows_scaled_buckets(edges.count())
-    deg = bucketed_group_agg(
-        edges, "node_id", "count", out_col="deg", n_buckets=n_buckets
-    )
-
-    seed_schema = pa.schema([("node_id", pa.int64()), ("r", pa.int64())])
-
-    def _seed_mask(ids: np.ndarray) -> np.ndarray:
+    def seed_mask(ids: np.ndarray) -> np.ndarray:
         # all-ones for global PageRank; the personalized predicate
         # otherwise.  int64 0/1 so it multiplies straight into the
         # integer rank arithmetic.
@@ -266,118 +251,52 @@ def pagerank(edges_ds, nodes_ds, n_iters: int = 3,
             return np.ones(len(ids), np.int64)
         return (ids % seed_mod == 0).astype(np.int64)
 
-    def seed(t: pa.Table) -> pa.Table:
-        ids = t.column("node_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "node_id": t.column("node_id"),
-                "r": pa.array(_R0 * _seed_mask(ids)),
-            },
-            schema=seed_schema,
-        )
+    def state_of(base: int):
+        # (node_id[, c], deg) -> (node_id, r, deg): r = base·[seed] + c
+        def fn(t: pa.Table) -> pa.Table:
+            ids = t.column("node_id").to_numpy(zero_copy_only=False)
+            c = (t.column("c").to_numpy(zero_copy_only=False)
+                 if "c" in t.column_names else 0)
+            return pa.table({"node_id": t.column("node_id"),
+                             "r": pa.array(base * seed_mask(ids) + c),
+                             "deg": t.column("deg")})
 
-    # fold degree into the rank state ONCE — a node-sized join, vs the
-    # edge-sized edges×deg pre-join this replaces
-    state_raw = bucketed_hash_join(
-        nodes_ds.map_batches(seed, batch_format="pyarrow"),
-        deg,
-        on="node_id",
-        how="left",
-        n_buckets=n_buckets,
-        left_schema=seed_schema,
-        right_schema=pa.schema([("node_id", pa.int64()), ("deg", pa.int64())]),
-    )
+        return fn
 
-    def fill_deg(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node_id": t.column("node_id"),
-                "r": t.column("r"),
-                "deg": pc.fill_null(t.column("deg"), 0).cast(pa.int64()),
-            },
-            schema=state_schema,
-        )
-
-    state = state_raw.map_batches(fill_deg, batch_format="pyarrow")
-
-    def contribs_of_state(t: pa.Table) -> pa.Table:
+    def contribs(t: pa.Table) -> pa.Table:
         r = t.column("r").to_numpy(zero_copy_only=False)
         d = t.column("deg").to_numpy(zero_copy_only=False)
-        src = t.column("node_id").to_numpy(zero_copy_only=False)
         nz = d > 0
-        return pa.table(
-            {
-                "node_id": pa.array(src[nz]),
-                "c": pa.array((r[nz] * 17) // (20 * d[nz])),
-            },
-            schema=contrib_schema,
-        )
+        ids = t.column("node_id").to_numpy(zero_copy_only=False)
+        return pa.table({"node_id": ids[nz],
+                         "c": (r[nz] * 17) // (20 * d[nz])})
 
-    def zeros_of_state(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node_id": t.column("node_id"),
-                "c": pa.array(np.zeros(t.num_rows, np.int64)),
-                "deg": t.column("deg"),
-            }
-        )
+    def to_dst(t: pa.Table) -> pa.Table:
+        return pa.table({"node_id": t.column("dst_id"), "c": t.column("c"),
+                         "deg": pa.array(np.zeros(t.num_rows, np.int64))})
 
+    def zero_contrib(t: pa.Table) -> pa.Table:
+        return pa.table({"node_id": t.column("node_id"),
+                         "c": pa.array(np.zeros(t.num_rows, np.int64)),
+                         "deg": t.column("deg")})
+
+    state = et.degrees(nodes_ds).map_batches(state_of(_R0), batch_format="pyarrow")
     for _ in range(n_iters):
         # state is re-read twice per iteration (contributions + zero
         # rows): keep it materialized — node-sized, one int64 triple/row
         state = state.materialize()
-        cs = state.map_batches(contribs_of_state, batch_format="pyarrow")
-        joined = bucketed_hash_join(
-            edges,
-            cs,
-            on="node_id",
-            n_buckets=n_buckets,
-            left_schema=edges_schema,
-            right_schema=contrib_schema,
+        summed = et.send(
+            state.map_batches(contribs, batch_format="pyarrow"), ["c"],
+            {"c": "sum", "deg": "max"}, to_dst,
+            keep=state.map_batches(zero_contrib, batch_format="pyarrow"),
         )
+        state = summed.map_batches(state_of(_TELEPORT), batch_format="pyarrow")
 
-        def to_dst(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            return pa.table(
-                {
-                    "node_id": t.column("dst_id"),
-                    "c": t.column("c"),
-                    "deg": pa.array(np.zeros(n, np.int64)),
-                }
-            )
-
-        ctr = joined.map_batches(to_dst, batch_format="pyarrow")
-        # ONE exchange folds the contribution sums, the zero rows that
-        # keep rank entries alive for nodes without in-links, AND the
-        # deg carry (max: contribution rows carry 0, the state row the
-        # true degree — degrees are never negative)
-        summed = bucketed_group_agg(
-            ctr.union(state.map_batches(zeros_of_state, batch_format="pyarrow")),
-            "node_id",
-            specs=[("sum", "c", "c"), ("max", "deg", "deg")],
-            n_buckets=n_buckets,
-        )
-
-        def next_state(t: pa.Table) -> pa.Table:
-            c = t.column("c").to_numpy(zero_copy_only=False)
-            ids = t.column("node_id").to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "node_id": t.column("node_id"),
-                    "r": pa.array(_TELEPORT * _seed_mask(ids) + c),
-                    "deg": t.column("deg"),
-                },
-                schema=state_schema,
-            )
-
-        state = summed.map_batches(next_state, batch_format="pyarrow")
-
-    def final(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"node_id": t.column("node_id"), "rank_micro": t.column("r")}
-        )
-
-    return state.map_batches(final, batch_format="pyarrow")
+    return state.map_batches(
+        lambda t: pa.table({"node_id": t.column("node_id"),
+                            "rank_micro": t.column("r")}),
+        batch_format="pyarrow",
+    )
 
 
 def hits_scores(edges_ds, nodes_ds, n_iters: int = 2,
@@ -404,154 +323,64 @@ def hits_scores(edges_ds, nodes_ds, n_iters: int = 2,
 
     Returns Dataset (node_id, auth_micro, hub_micro).
 
-    Scale shape (same as ``pagerank``): the two edge layouts (keyed by
-    src for the authority step, by dst for the hub step) materialize
-    ONCE into the object store; each half-step is one bucketed hash
-    join + one groupby-sum, all exchanges partitioned on node id; score
-    state stays a distributed Dataset end to end.
+    Scale shape (same as ``pagerank``): two edge tables (keyed by src
+    for the authority step, by dst for the hub step); each half-step is
+    one message step (score join + map-side combined sum per
+    destination), all exchanges partitioned on node id; score state
+    stays a distributed Dataset end to end.
     """
-    from gliner_cpp_ray.stages.sizing import rows_scaled_buckets
-
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
-    score_schema = pa.schema([("node_id", pa.int64()), ("s", pa.int64())])
-    edge_schema = pa.schema([("node_id", pa.int64()), ("other", pa.int64())])
+    by_src = edge_table(edges_ds)
+    by_dst = edge_table(edges_ds, "dst_id", "src_id")
 
-    def keyed(t: pa.Table, key: str, other: str) -> pa.Table:
-        return pa.table(
-            {"node_id": t.column(key), "other": t.column(other)},
-            schema=edge_schema,
-        )
+    def scores(value: int):
+        return lambda t: pa.table({
+            "node_id": t.column("node_id"),
+            "s": pa.array(np.full(t.num_rows, value, np.int64)),
+        })
 
-    by_src = edges_ds.map_batches(
-        lambda t: keyed(t, "src_id", "dst_id"), batch_format="pyarrow"
-    ).materialize()
-    by_dst = edges_ds.map_batches(
-        lambda t: keyed(t, "dst_id", "src_id"), batch_format="pyarrow"
-    ).materialize()
-    n_buckets = rows_scaled_buckets(by_src.count())
+    # the 0-score row per vertex, so nodes with no in-edges (for a
+    # half-step's direction) still emit a row.  Only the FINAL half-step
+    # of each kind needs it — in intermediate steps a missing score row
+    # contributes exactly what a 0 row does (nothing) to the next join.
+    nodes_zero = nodes_ds.map_batches(scores(0), batch_format="pyarrow").materialize()
 
-    def zero(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node_id": t.column("node_id"),
-                "s": pa.array(np.zeros(t.num_rows, np.int64)),
-            },
-            schema=score_schema,
-        )
+    def rescale(t: pa.Table) -> pa.Table:
+        s = t.column("s").to_numpy(zero_copy_only=False)
+        if scale_shift:
+            s = s >> scale_shift  # == // (1 << shift); s never negative
+        return pa.table({"node_id": t.column("node_id"), "s": pa.array(s)})
 
-    nodes_zero = nodes_ds.map_batches(zero, batch_format="pyarrow").materialize()
-
-    def seed(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node_id": t.column("node_id"),
-                "s": pa.array(np.full(t.num_rows, 1_000_000, np.int64)),
-            },
-            schema=score_schema,
-        )
-
-    def half_step(edge_tbl, scores, keep_zeros: bool):
-        """scores keyed on edge_tbl's node_id -> summed onto 'other'.
-
-        ``keep_zeros``: union in the 0-score row per vertex so nodes
-        with no in-edges (for this half-step's direction) still emit a
-        row.  Only the FINAL half-step of each kind needs it — in
-        intermediate steps a missing score row contributes exactly what
-        a 0 row does (nothing) to the next join, so skipping the union
-        drops a node-sized input from two of the four exchanges without
-        changing a single output value."""
-        joined = bucketed_hash_join(
-            edge_tbl,
-            scores,
-            on="node_id",
-            n_buckets=n_buckets,
-            left_schema=edge_schema,
-            right_schema=score_schema,
-        )
-
-        def flip_combine(t: pa.Table) -> pa.Table:
-            # map-side combiner: edges sharing a destination collapse to
-            # one partial sum per batch BEFORE the exchange (sum is
-            # associative, so the reduce result is unchanged).  pandas
-            # groupby keeps the sum int64-exact (np.bincount's weights
-            # path would round-trip float64).
-            import pandas as pd
-
-            df = pd.DataFrame(
-                {
-                    "node_id": t.column("other").to_numpy(zero_copy_only=False),
-                    "s": t.column("s").to_numpy(zero_copy_only=False),
-                }
-            )
-            out = df.groupby("node_id", sort=False, as_index=False)["s"].sum()
-            return pa.table(
-                {
-                    "node_id": pa.array(out["node_id"].to_numpy(np.int64)),
-                    "s": pa.array(out["s"].to_numpy(np.int64)),
-                },
-                schema=score_schema,
-            )
-
-        flipped = joined.map_batches(flip_combine, batch_format="pyarrow")
-        summed = bucketed_group_agg(
-            flipped.union(nodes_zero) if keep_zeros else flipped,
-            "node_id", "sum", val_col="s", out_col="s", n_buckets=n_buckets,
-        )
-
-        def rescale(t: pa.Table) -> pa.Table:
-            s = t.column("s").to_numpy(zero_copy_only=False)
-            if scale_shift:
-                s = s >> scale_shift  # == // (1 << shift); s never negative
-            return pa.table(
-                {"node_id": t.column("node_id"), "s": pa.array(s)},
-                schema=score_schema,
-            )
-
+    def half_step(et, values, last: bool):
+        summed = et.send(values, ["s"], {"s": "sum"},
+                         keep=nodes_zero if last else None)
         return summed.map_batches(rescale, batch_format="pyarrow")
 
-    hub = nodes_ds.map_batches(seed, batch_format="pyarrow")
-    auth = None
+    hub = nodes_ds.map_batches(scores(1_000_000), batch_format="pyarrow")
     for i in range(n_iters):
         last = i == n_iters - 1
         # reused by the hub step -> materialize
-        auth = half_step(by_src, hub, keep_zeros=last).materialize()
-        hub = half_step(by_dst, auth, keep_zeros=last)
+        auth = half_step(by_src, hub, last).materialize()
+        hub = half_step(by_dst, auth, last)
 
-    final = bucketed_hash_join(
-        auth,
-        hub,
-        on="node_id",
-        n_buckets=n_buckets,
-        suffix="_h",
-        left_schema=score_schema,
-        right_schema=score_schema,
-    )
-
-    def name_out(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node_id": t.column("node_id"),
-                "auth_micro": t.column("s"),
-                "hub_micro": t.column("s_h"),
-            }
-        )
-
-    return final.map_batches(name_out, batch_format="pyarrow")
+    final = by_src.join(auth, ("node_id", "s"), hub, ("node_id", "s"), suffix="_h")
+    return final.map_batches(lambda t: pa.table({
+        "node_id": t.column("node_id"),
+        "auth_micro": t.column("s"),
+        "hub_micro": t.column("s_h"),
+    }), batch_format="pyarrow")
 
 
-_UND_SCHEMA = pa.schema([("u", pa.int64()), ("v", pa.int64())])
-
-
-def _undirected_distinct_edges(edges_ds):
-    """(src_id, dst_id[, n]) directed links -> distinct undirected
-    (u, v) pairs with u < v, self-loops dropped — the shared prep of
-    ``triangle_counts`` and ``k_core_nodes``.  One bucketed grouped
-    count performs the distinct; ids must fit 31 bits (packing guard,
-    same rationale as ``_count_distinct_pairs``)."""
+def _undirected_distinct_edges(edges_ds) -> EdgeTable:
+    """(src_id, dst_id[, n]) directed links -> the edge table of the
+    distinct undirected pairs (node_id < dst_id), self-loops dropped —
+    the shared prep of ``triangle_counts`` and ``k_core_nodes``.  One
+    grouped count performs the distinct; ids must fit 31 bits (packing
+    guard, same rationale as ``_count_distinct_pairs``)."""
 
     def undirect(t: pa.Table) -> pa.Table:
-        s = t.column("src_id").to_numpy(zero_copy_only=False)
+        s = t.column("node_id").to_numpy(zero_copy_only=False)
         d = t.column("dst_id").to_numpy(zero_copy_only=False)
         if s.size and (s.max() >= (1 << 31) or d.max() >= (1 << 31)
                        or s.min() < 0 or d.min() < 0):
@@ -561,15 +390,9 @@ def _undirected_distinct_edges(edges_ds):
             )
         keep = s != d
         s, d = s[keep], d[keep]
-        return pa.table(
-            {"u": np.minimum(s, d), "v": np.maximum(s, d)},
-            schema=_UND_SCHEMA,
-        )
+        return pa.table({"node_id": np.minimum(s, d), "dst_id": np.maximum(s, d)})
 
-    return bucketed_group_agg(
-        edges_ds.map_batches(undirect, batch_format="pyarrow"),
-        ["u", "v"], "count", out_col="__n",
-    ).select_columns(["u", "v"])
+    return distinct_edges(edge_table(edges_ds), undirect)
 
 
 def triangle_counts(edges_ds):
@@ -600,58 +423,14 @@ def triangle_counts(edges_ds):
     """
     import pandas as pd
 
-    from gliner_cpp_ray.stages.sizing import rows_scaled_buckets
-
-    und_schema = _UND_SCHEMA
-
-    und = _undirected_distinct_edges(edges_ds).materialize()
-    # consumed three times: degrees, orient, close
-    n_buckets = rows_scaled_buckets(und.count())
-
-    def both_ends(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node_id": pa.concat_arrays(
-                    [t.column("u").combine_chunks(),
-                     t.column("v").combine_chunks()]
-                )
-            }
-        )
-
-    deg = bucketed_group_agg(
-        und.map_batches(both_ends, batch_format="pyarrow"),
-        "node_id", "count", out_col="deg", n_buckets=n_buckets,
-    )
-    deg_schema = pa.schema([("node_id", pa.int64()), ("deg", pa.int64())])
-
-    j1 = bucketed_hash_join(
-        und.map_batches(
-            lambda t: t.rename_columns(["node_id", "v"]), batch_format="pyarrow"
-        ),
-        deg,
-        on="node_id",
-        n_buckets=n_buckets,
-        left_schema=pa.schema([("node_id", pa.int64()), ("v", pa.int64())]),
-        right_schema=deg_schema,
-    ).map_batches(
-        lambda t: pa.table(
-            {"u": t.column("node_id"), "node_id": t.column("v"),
-             "deg_u": t.column("deg")}
-        ),
+    und = _undirected_distinct_edges(edges_ds)
+    deg = und.degrees(undirected=True)
+    j1 = und.join(und.ds, und.cols, deg, ("node_id", "deg")).map_batches(
+        lambda t: pa.table({"u": t.column("node_id"), "node_id": t.column("dst_id"),
+                            "deg_u": t.column("deg")}),
         batch_format="pyarrow",
     )
-    j2 = bucketed_hash_join(
-        j1,
-        deg,
-        on="node_id",
-        n_buckets=n_buckets,
-        left_schema=pa.schema(
-            [("u", pa.int64()), ("node_id", pa.int64()), ("deg_u", pa.int64())]
-        ),
-        right_schema=deg_schema,
-    )
-
-    oriented_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
+    j2 = und.join(j1, ("u", "node_id", "deg_u"), deg, ("node_id", "deg"))
 
     def orient(t: pa.Table) -> pa.Table:
         u = t.column("u").to_numpy(zero_copy_only=False)
@@ -661,15 +440,8 @@ def triangle_counts(edges_ds):
         # ties go to u: u < v by construction, so (deg, id) order
         # reduces to deg_u <= deg_v
         take_u = du <= dv
-        return pa.table(
-            {
-                "src": np.where(take_u, u, v),
-                "dst": np.where(take_u, v, u),
-            },
-            schema=oriented_schema,
-        )
-
-    oriented = j2.map_batches(orient, batch_format="pyarrow")
+        return pa.table({"src": np.where(take_u, u, v),
+                         "dst": np.where(take_u, v, u)})
 
     def wedge_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -687,28 +459,16 @@ def triangle_counts(edges_ds):
         ].to_numpy(np.int64)
         return pd.DataFrame({"a": m["src"].to_numpy(np.int64), "k": k})
 
-    wedges = keyed_exchange(oriented, "src", wedge_bucket, n_buckets)
-
-    und_keys = und.map_batches(
-        lambda t: pa.table(
-            {
-                "k": pc.add(
-                    pc.multiply(t.column("u"), pa.scalar(1 << 32, pa.int64())),
-                    t.column("v"),
-                )
-            }
-        ),
+    wedges = und.exchange(j2.map_batches(orient, batch_format="pyarrow"),
+                          "src", wedge_bucket)
+    und_keys = und.ds.map_batches(
+        lambda t: pa.table({"k": pc.add(
+            pc.multiply(t.column("node_id"), pa.scalar(1 << 32, pa.int64())),
+            t.column("dst_id"),
+        )}),
         batch_format="pyarrow",
     )
-
-    tri = bucketed_hash_join(
-        wedges,
-        und_keys,
-        on="k",
-        n_buckets=n_buckets,
-        left_schema=pa.schema([("a", pa.int64()), ("k", pa.int64())]),
-        right_schema=pa.schema([("k", pa.int64())]),
-    )
+    tri = und.join(wedges, ("a", "k"), und_keys, ("k",), on="k")
 
     def credits(t: pa.Table) -> pa.Table:
         a = t.column("a").to_numpy(zero_copy_only=False)
@@ -717,10 +477,8 @@ def triangle_counts(edges_ds):
         c = k & np.int64((1 << 32) - 1)
         return pa.table({"node_id": np.concatenate([a, b, c])})
 
-    return bucketed_group_agg(
-        tri.map_batches(credits, batch_format="pyarrow"),
-        "node_id", "count", out_col="n_triangles", n_buckets=n_buckets,
-    )
+    return und.group(tri.map_batches(credits, batch_format="pyarrow"),
+                     "node_id", "count", out_col="n_triangles")
 
 
 def k_core_nodes(edges_ds, k: int = 3, n_rounds: int = 2):
@@ -755,57 +513,25 @@ def k_core_nodes(edges_ds, k: int = 3, n_rounds: int = 2):
     peeled subgraph.  Movement: <= n_rounds * 3 node/edge-bounded
     exchanges.
     """
-    from gliner_cpp_ray.stages.sizing import rows_scaled_buckets
-
     if k < 1:
         raise ValueError("k must be >= 1")
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
 
-    und = _undirected_distinct_edges(edges_ds).materialize()
-    n_buckets = rows_scaled_buckets(und.count())
-    deg_schema = pa.schema([("node_id", pa.int64()), ("deg", pa.int64())])
-
-    def both_ends(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node_id": pa.concat_arrays(
-                    [t.column("u").combine_chunks(),
-                     t.column("v").combine_chunks()]
-                )
-            }
-        )
-
-    def survivors_of(deg_ds):
-        return deg_ds.map_batches(
-            lambda t: t.filter(pc.greater_equal(t.column("deg"), k)),
-            batch_format="pyarrow",
-        )
-
-    edges_r = und
-    surv = None
-    for r in range(n_rounds):
+    und = _undirected_distinct_edges(edges_ds)
+    edges_r, surv = und.ds, None
+    for _ in range(n_rounds):
         if surv is not None:
             # induced subgraph: an edge survives iff BOTH endpoints do
             surv = surv.select_columns(["node_id"]).materialize()
-            for end in ("u", "v"):
-                keyed = surv.map_batches(
-                    lambda t, e=end: t.rename_columns([e]),
-                    batch_format="pyarrow",
-                )
-                edges_r = bucketed_hash_join(
-                    edges_r,
-                    keyed,
-                    on=end,
-                    n_buckets=n_buckets,
-                    left_schema=_UND_SCHEMA,
-                    right_schema=pa.schema([(end, pa.int64())]),
-                )
-        deg = bucketed_group_agg(
-            edges_r.map_batches(both_ends, batch_format="pyarrow"),
-            "node_id", "count", out_col="deg", n_buckets=n_buckets,
+            for end in und.cols:
+                edges_r = und.join(edges_r, und.cols, renamed(surv, "node_id", end),
+                                   (end,), on=end)
+        deg = und.derive(edges_r).degrees(undirected=True)
+        surv = deg.map_batches(
+            lambda t: t.filter(pc.greater_equal(t.column("deg"), k)),
+            batch_format="pyarrow",
         )
-        surv = survivors_of(deg)
     return surv
 
 
@@ -833,32 +559,14 @@ def cocitation_topk(edges_ds, k: int = 3, deg_cap: int = 64):
     ``triangle_counts``)."""
     import pandas as pd
 
-    from gliner_cpp_ray.stages.sizing import rows_scaled_buckets
     from gliner_cpp_ray.stages.skew import grouped_top_k
 
-    e_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
-
-    def as_pairs(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"src": t.column("src_id"), "dst": t.column("dst_id")},
-            schema=e_schema,
-        )
-
-    edges = edges_ds.map_batches(as_pairs, batch_format="pyarrow").materialize()
-    n_buckets = rows_scaled_buckets(edges.count())
-
-    deg = bucketed_group_agg(edges, "src", "count", out_col="deg",
-                             n_buckets=n_buckets)
-    kept_src = deg.map_batches(
-        lambda t: t.filter(pc.less_equal(t.column("deg"), deg_cap))
-        .select(["src"]),
+    et = edge_table(edges_ds)
+    kept_src = et.degrees().map_batches(
+        lambda t: t.filter(pc.less_equal(t.column("deg"), deg_cap)).select(["node_id"]),
         batch_format="pyarrow",
     )
-    el = bucketed_hash_join(
-        edges, kept_src, on="src", n_buckets=n_buckets,
-        left_schema=e_schema,
-        right_schema=pa.schema([("src", pa.int64())]),
-    )
+    el = et.join(et.ds, et.cols, kept_src, ("node_id",))
 
     def pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -868,45 +576,33 @@ def cocitation_topk(edges_ds, k: int = 3, deg_cap: int = 64):
                     "n": pd.Series([], dtype=np.int64),
                 }
             )
-        g = g[["src", "dst"]]
-        if g["dst"].max() >= (1 << 31):
+        g = g[["node_id", "dst_id"]]
+        if g["dst_id"].max() >= (1 << 31):
             raise ValueError("dst ids must fit 31 bits for the packed pair key")
-        m = g.merge(g, on="src", suffixes=("_a", "_b"))
-        m = m[m["dst_a"] < m["dst_b"]]
-        key = m["dst_a"].to_numpy(np.int64) * np.int64(1 << 32) + m[
-            "dst_b"
+        m = g.merge(g, on="node_id", suffixes=("_a", "_b"))
+        m = m[m["dst_id_a"] < m["dst_id_b"]]
+        key = m["dst_id_a"].to_numpy(np.int64) * np.int64(1 << 32) + m[
+            "dst_id_b"
         ].to_numpy(np.int64)
         # per-bucket combiner: collapse repeats before the pair shuffle
         u, c = np.unique(key, return_counts=True)
         return pd.DataFrame({"k": u, "n": c.astype(np.int64)})
 
-    pair_counts = bucketed_group_agg(
-        keyed_exchange(el, "src", pairs_bucket, n_buckets),
-        "k", "sum", val_col="n", out_col="n_common", n_buckets=n_buckets,
-    )
-
-    sym_schema = pa.schema(
-        [("node_id", pa.int64()), ("partner_id", pa.int64()),
-         ("n_common", pa.int64())]
-    )
+    pair_counts = et.group(et.exchange(el, "node_id", pairs_bucket),
+                           "k", "sum", val_col="n", out_col="n_common")
 
     def symmetrize(t: pa.Table) -> pa.Table:
         key = t.column("k").to_numpy(zero_copy_only=False)
         n = t.column("n_common").to_numpy(zero_copy_only=False)
         a = key >> np.int64(32)
         b = key & np.int64((1 << 32) - 1)
-        return pa.table(
-            {
-                "node_id": np.concatenate([a, b]),
-                "partner_id": np.concatenate([b, a]),
-                "n_common": np.concatenate([n, n]),
-            },
-            schema=sym_schema,
-        )
+        return pa.table({"node_id": np.concatenate([a, b]),
+                         "partner_id": np.concatenate([b, a]),
+                         "n_common": np.concatenate([n, n])})
 
     sym = pair_counts.map_batches(symmetrize, batch_format="pyarrow")
     return grouped_top_k(sym, "node_id", "n_common", "partner_id", k=k,
-                         n_buckets=n_buckets)
+                         n_buckets=et.n_buckets)
 
 
 def host_reciprocity(host_edges_ds):
@@ -925,69 +621,42 @@ def host_reciprocity(host_edges_ds):
     against its own flip (host ids must fit 31 bits — checked) + one
     host-keyed group-sum; everything is edge-table-bounded, no
     densification."""
-    from gliner_cpp_ray.stages.sizing import rows_scaled_buckets
-
-    pair_schema = pa.schema([("src", pa.int64()), ("k", pa.int64())])
+    et = edge_table(host_edges_ds, "src_host", "dst_host")
 
     def fwd(t: pa.Table) -> pa.Table:
-        s = t.column("src_host").to_numpy(zero_copy_only=False)
-        d = t.column("dst_host").to_numpy(zero_copy_only=False)
+        s = t.column("node_id").to_numpy(zero_copy_only=False)
+        d = t.column("dst_id").to_numpy(zero_copy_only=False)
         if len(s) and max(s.max(), d.max()) >= (1 << 31):
             raise ValueError("host ids must fit 31 bits for the packed key")
         keep = s != d
-        return pa.table(
-            {"src": s[keep], "k": s[keep] * np.int64(1 << 32) + d[keep]},
-            schema=pair_schema,
-        )
+        return pa.table({"src": s[keep],
+                         "k": s[keep] * np.int64(1 << 32) + d[keep]})
 
     def rev(t: pa.Table) -> pa.Table:
-        s = t.column("src_host").to_numpy(zero_copy_only=False)
-        d = t.column("dst_host").to_numpy(zero_copy_only=False)
+        s = t.column("node_id").to_numpy(zero_copy_only=False)
+        d = t.column("dst_id").to_numpy(zero_copy_only=False)
         keep = s != d
-        return pa.table(
-            {
-                "k": d[keep] * np.int64(1 << 32) + s[keep],
-                "flag": np.ones(int(keep.sum()), np.int64),
-            },
-            schema=pa.schema([("k", pa.int64()), ("flag", pa.int64())]),
-        )
+        return pa.table({"k": d[keep] * np.int64(1 << 32) + s[keep],
+                         "flag": np.ones(int(keep.sum()), np.int64)})
 
-    host_edges = host_edges_ds.materialize()
-    n_buckets = rows_scaled_buckets(host_edges.count())
-    marked = bucketed_hash_join(
-        host_edges.map_batches(fwd, batch_format="pyarrow"),
-        host_edges.map_batches(rev, batch_format="pyarrow"),
-        on="k", how="left", n_buckets=n_buckets,
-        left_schema=pair_schema,
-        right_schema=pa.schema([("k", pa.int64()), ("flag", pa.int64())]),
+    marked = et.join(
+        et.ds.map_batches(fwd, batch_format="pyarrow"), ("src", "k"),
+        et.ds.map_batches(rev, batch_format="pyarrow"), ("k", "flag"),
+        on="k", how="left",
     )
 
     def to_counts(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "host_id": t.column("src"),
-                "one": pa.array(np.ones(t.num_rows, np.int64)),
-                "flag": pc.fill_null(t.column("flag"), 0).cast(pa.int64()),
-            }
-        )
-
-    agg = bucketed_group_agg(
-        marked.map_batches(to_counts, batch_format="pyarrow"),
-        "host_id",
-        specs=[("sum", "one", "n_out_hosts"), ("sum", "flag", "n_reciprocal")],
-        n_buckets=n_buckets,
-    )
+        return pa.table({"host_id": t.column("src"),
+                         "one": pa.array(np.ones(t.num_rows, np.int64)),
+                         "flag": pc.fill_null(t.column("flag"), 0).cast(pa.int64())})
 
     def ratio(t: pa.Table) -> pa.Table:
         out = t.column("n_out_hosts").to_numpy(zero_copy_only=False)
         rec = t.column("n_reciprocal").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "host_id": t.column("host_id"),
-                "n_out_hosts": t.column("n_out_hosts"),
-                "n_reciprocal": t.column("n_reciprocal"),
-                "recip_micro": pa.array(1_000_000 * rec // out),
-            }
-        )
+        return t.append_column("recip_micro", pa.array(1_000_000 * rec // out))
 
+    agg = et.group(
+        marked.map_batches(to_counts, batch_format="pyarrow"), "host_id",
+        specs=[("sum", "one", "n_out_hosts"), ("sum", "flag", "n_reciprocal")],
+    )
     return agg.map_batches(ratio, batch_format="pyarrow")

@@ -351,10 +351,11 @@ def test_keyed_cogroup_empty_side(ray_session, empty_side):
 # Sites that still spell ``groupby("__bucket")`` out, and why: the
 # range and rank buckets are contiguous value/id ranges whose reduce
 # reads its bucket id to add a driver-computed offset — not key hashes.
-# stages/joins.py holds keyed_exchange itself and range_merge_join,
-# whose buckets are equi-depth key ranges, not hashes.
+# stages/joins.py holds _bucket_groups, the one bucket shuffle behind
+# keyed_exchange, keyed_cogroup and range_merge_join (whose buckets are
+# equi-depth key ranges, not hashes).
 _BUCKET_GROUPBY_ALLOWED = {
-    "stages/joins.py": 2,
+    "stages/joins.py": 1,
     "stages/packing.py": 6,  # pack_sequences, global_shuffle_positions, global_order_rank
     "stages/sampling.py": 2,  # weighted probe sampling over id ranges
 }

@@ -1,5 +1,5 @@
 """Connected components (per-block forests merged on the driver) vs the
-driver union-find; BFS, SSSP."""
+driver union-find; BFS, SSSP; the bucket count of every graph exchange."""
 
 import numpy as np
 import pandas as pd
@@ -303,3 +303,90 @@ def test_sssp_random_graph_matches_reference(ray_session):
     w = rng.integers(1, 9, size=(150, 1))
     edges = [tuple(r) for r in np.hstack([uv, w])]
     _check_sssp(edges, [0, 17], 3, ray_session)
+
+
+# ------------------------------------------------------ bucket sizing
+
+
+def _bucket_spy():
+    import sys
+    from pathlib import Path
+
+    tools = str(Path(__file__).resolve().parents[1] / "tools")
+    if tools not in sys.path:
+        sys.path.insert(0, tools)
+    import bucket_spy
+
+    return bucket_spy
+
+
+def test_graph_operators_size_every_exchange_from_the_edge_rows(
+        ray_session, monkeypatch):
+    """With the sizer seeing 32 CPUs, a 200-edge graph still gets the
+    floor of 8 buckets in every exchange and union coalesce of every
+    graph operator: each sizes from its edge rows, none from
+    ``default_buckets()`` (2 × CPUs = 64)."""
+    import ray.data as rd
+
+    from gliner_cpp_ray.stages import sizing
+    from gliner_cpp_ray.stages.graph import (
+        bfs_hop_distance, label_prop_communities, weighted_sssp,
+    )
+    from gliner_cpp_ray.stages.linkgraph import (
+        cocitation_topk, hits_scores, host_reciprocity, k_core_nodes,
+        pagerank, triangle_counts,
+    )
+
+    spy = _bucket_spy()
+    monkeypatch.setattr(sizing, "cluster_cpus", lambda: 32)
+    rng = np.random.default_rng(17)
+    e = pd.DataFrame(rng.integers(0, 60, size=(200, 2)),
+                     columns=["src_id", "dst_id"]).astype("int64")
+    edges = rd.from_pandas(e.drop_duplicates()).repartition(3)
+    nodes = rd.from_pandas(pd.DataFrame({"node_id": np.arange(60, dtype=np.int64)}))
+    seeds = rd.from_pandas(pd.DataFrame({"node_id": np.array([0, 7], np.int64)}))
+    weighted = rd.from_pandas(
+        e.rename(columns={"src_id": "u", "dst_id": "v"}).assign(w=np.int64(3)))
+    hosts = rd.from_pandas(
+        (e % 12).drop_duplicates().rename(
+            columns={"src_id": "src_host", "dst_id": "dst_host"}))
+    runs = {
+        "bfs_hop_distance": lambda: bfs_hop_distance(edges, seeds),
+        "weighted_sssp": lambda: weighted_sssp(weighted, seeds),
+        "label_prop_communities": lambda: label_prop_communities(edges, nodes),
+        "pagerank": lambda: pagerank(edges, nodes),
+        "personalized pagerank": lambda: pagerank(edges, nodes, seed_mod=7),
+        "hits_scores": lambda: hits_scores(edges, nodes),
+        "triangle_counts": lambda: triangle_counts(edges),
+        "k_core_nodes": lambda: k_core_nodes(edges, k=2),
+        "cocitation_topk": lambda: cocitation_topk(edges),
+        "host_reciprocity": lambda: host_reciprocity(hosts),
+    }
+    off = {}
+    for name, run in runs.items():
+        with spy.bucket_spy() as log:
+            assert run().materialize().count() > 0, name
+        assert log.counts, name
+        if {n for _, n in log.counts} != {8} or log.defaults:
+            off[name] = log.line()
+    assert not off, off
+
+
+def test_bucket_spy_tool_tells_edge_sized_from_default_sized(ray_session):
+    """``tools/bucket_spy.py`` on two sf0.001 registry queries with the
+    sizer at 16 CPUs: ``degree_distribution`` sizes every exchange from
+    its edge rows (8), ``user_value_mad`` takes ``default_buckets()``
+    (32 = 2 × 16) and is counted as default-sized.  ``page_links``
+    runs first: it builds the cached link graph, whose edge extraction
+    is default-sized."""
+    from test_queries_oracle import SF_DIR
+
+    spy = _bucket_spy()
+    got = {name: log for name, _, log in spy.spy_queries(
+        ["page_links", "degree_distribution", "user_value_mad"], SF_DIR, cpus=16)}
+    deg = got["degree_distribution"]
+    assert deg.counts and {n for _, n in deg.counts} == {8}, deg.line()
+    assert deg.defaults == 0
+    mad = got["user_value_mad"]
+    assert ("x", 32) in mad.counts, mad.line()
+    assert mad.defaults >= 1
